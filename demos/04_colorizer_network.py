@@ -12,11 +12,14 @@ config = network.NetworkConfig(width=32, height=32, base_channels=8)
 store = network.init_generator(config, seed=0)
 print(f"generator parameters: {sum(t.data.size for t in store.tensors())}")
 
-# Every stage's feature size, straight from a traced forward pass.
+# Every stage's feature size (C, H, W) from the size table: generator
+# stages P/M/A/D, discriminator stages C. Then the shape a real forward
+# pass produces.
+for name, shape in network.generator_level_shapes(config).items():
+    print(f"  {name:4s} {shape}")
 rng = np.random.default_rng(3)
 luma = T.Tensor(rng.uniform(-1, 1, (1, 1, 32, 32)))
-for name, shape in network.generator_trace(store, config, luma):
-    print(f"  {name:4s} {shape}")
+print("generator output:", network.generator_forward(store, config, luma).shape)
 
 # Attention starts as an exact identity (its gain is zero), so the
 # attention and no-attention arms coincide at initialization and only

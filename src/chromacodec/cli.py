@@ -2,10 +2,9 @@
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import astuple, replace
 from pathlib import Path
 
 from . import colorspace as cs
@@ -18,99 +17,34 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved settings for one command invocation."""
-
-    command: str
-    inputs: tuple
-    output: str
-    width: int
-    height: int
-    mode: str
-    qp: int
-    gop_size: int
-    fps: float
-    seed: int
-    steps: int
-    loss_weights: tuple
-    channels: int
-    use_attention: bool
-    use_glrc: bool
-    threads: int
-    loss_log: str
-
-    def __post_init__(self):
-        if not 0 <= self.qp <= 51:
-            raise ConfigError(f"qp must be in [0, 51], got {self.qp}")
-        if self.gop_size < 1:
-            raise ConfigError(f"gop size must be >= 1, got {self.gop_size}")
-        if self.fps <= 0:
-            raise ConfigError(f"fps must be positive, got {self.fps}")
-        if self.steps < 0:
-            raise ConfigError(f"steps must be nonnegative, got {self.steps}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if len(self.loss_weights) != 4 or any(w < 0 for w in self.loss_weights):
-            raise ConfigError(f"need 4 nonnegative loss weights, got {self.loss_weights}")
-
-
 def _parse_loss_weights(args) -> tuple:
-    group = getattr(args, "loss_group", None)
-    text = getattr(args, "loss_weights", None)
+    group, text = args.loss_group, args.loss_weights
     if group and text:
         raise ConfigError("pass either --loss-group or --loss-weights, not both")
     if group:
-        w = losses.LOSS_GROUPS[group]
-        return (w.gan, w.mse, w.content, w.color)
-    if text:
-        parts = text.split(",")
-        if len(parts) != 4:
-            raise ConfigError(f"--loss-weights needs 4 comma-separated values, got {text!r}")
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"bad --loss-weights {text!r}: {exc}") from exc
-    w = losses.LossWeights()
-    return (w.gan, w.mse, w.content, w.color)
+        return astuple(losses.LOSS_GROUPS[group])
+    if not text:
+        return astuple(losses.LossWeights())
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise ConfigError(f"--loss-weights needs 4 comma-separated values, got {text!r}")
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError as exc:
+        raise ConfigError(f"bad --loss-weights {text!r}: {exc}") from exc
 
 
-def _resolve(args) -> RunConfig:
-    seed = getattr(args, "seed", 0)
+def _apply_overrides(args) -> None:
+    """CHROMACODEC_SEED replaces --seed; loss flags become four weights."""
+    if args.command != "train":
+        return
     env_seed = os.environ.get("CHROMACODEC_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            args.seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"CHROMACODEC_SEED must be an integer, got {env_seed!r}") from exc
-    inputs = []
-    for name in ("input", "weights", "ref", "test", "anchor", "proposed"):
-        value = getattr(args, name, None)
-        if value is not None:
-            inputs.append(value)
-    return RunConfig(
-        command=args.command,
-        inputs=tuple(inputs),
-        output=getattr(args, "out", ""),
-        width=getattr(args, "width", 0) or 0,
-        height=getattr(args, "height", 0) or 0,
-        mode=getattr(args, "mode", "4:4:4"),
-        qp=getattr(args, "qp", 32),
-        gop_size=getattr(args, "gop", 6),
-        fps=getattr(args, "fps", 30.0),
-        seed=seed,
-        steps=getattr(args, "steps", 0),
-        loss_weights=_parse_loss_weights(args),
-        channels=getattr(args, "channels", 8),
-        use_attention=not getattr(args, "no_attention", False),
-        use_glrc=not getattr(args, "no_glrc", False),
-        threads=getattr(args, "threads", 1),
-        loss_log=getattr(args, "loss_log", "") or "",
-    )
-
-
-def _log_config(cfg: RunConfig) -> None:
-    print("config: " + json.dumps(asdict(cfg), sort_keys=True), file=sys.stderr)
+    args.loss_weights = _parse_loss_weights(args)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +52,7 @@ def _log_config(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load_frames(path_str: str, cfg: RunConfig):
+def _load_frames(path_str: str, args):
     """Read a PPM file, a directory of PPM files, or headerless raw video.
 
     Output is always a 4:4:4 frame list; subsampled raw input is upsampled.
@@ -133,10 +67,10 @@ def _load_frames(path_str: str, cfg: RunConfig):
         raise DataError(f"input not found: {path}")
     if path.suffix.lower() == ".ppm":
         return [cs.rgb_to_ycbcr(cs.read_ppm(path))]
-    if not cfg.width or not cfg.height:
+    if not args.width or not args.height:
         raise ConfigError("raw input is headerless: pass --width and --height")
-    mode = cs.SubsamplingMode.parse(cfg.mode)
-    frames = cs.read_raw(path, cfg.width, cfg.height, mode)
+    mode = cs.SubsamplingMode.parse(args.mode)
+    frames = cs.read_raw(path, args.width, args.height, mode)
     return [f if f.mode is cs.SubsamplingMode.S444 else cs.upsample(f) for f in frames]
 
 
@@ -156,32 +90,12 @@ def _write_frames(out_str: str, frames) -> None:
         cs.write_ppm(out / f"frame_{i:04d}.ppm", cs.ycbcr_to_rgb(frame))
 
 
-def _json_safe(value):
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return value
-
-
-def _emit_json(report: dict, out: str) -> None:
-    text = json.dumps(_json_safe(report), indent=2, sort_keys=True)
+def _emit_json(report: dict, out) -> None:
+    text = metrics.report_to_json(report)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
-
-
-def _net_config(cfg: RunConfig, width: int, height: int) -> network.NetworkConfig:
-    return network.NetworkConfig(
-        width=width,
-        height=height,
-        base_channels=cfg.channels,
-        use_attention=cfg.use_attention,
-        use_glrc=cfg.use_glrc,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -189,59 +103,55 @@ def _net_config(cfg: RunConfig, width: int, height: int) -> network.NetworkConfi
 # ---------------------------------------------------------------------------
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    frames = _load_frames(cfg.inputs[0], cfg)
-    height, width = frames[0].y.height, frames[0].y.width
-    net_config = _net_config(cfg, width, height)
-    gop = pipeline.split_gops(len(frames), cfg.gop_size)
-    pairs = trainer.build_training_set(frames, gop, cfg.qp)
-    gen = network.init_generator(net_config, cfg.seed)
-    disc = network.init_discriminator(net_config, cfg.seed)
+def cmd_train(args) -> int:
     train_config = trainer.TrainConfig(
-        steps=cfg.steps, seed=cfg.seed, weights=losses.LossWeights(*cfg.loss_weights)
+        steps=args.steps, seed=args.seed, weights=losses.LossWeights(*args.loss_weights)
     )
-    history = trainer.train(gen, disc, net_config, pairs, train_config)
-    Path(cfg.output).write_bytes(network.serialize_weights(gen, net_config))
-    if cfg.loss_log:
-        Path(cfg.loss_log).write_text(trainer.history_to_csv(history), encoding="utf-8")
-    final = history[-1].total if history else float("nan")
-    print(f"trained {cfg.steps} steps on {len(pairs)} anchor pairs, final loss {final:.6g}")
-    return EXIT_OK
-
-
-def cmd_encode(cfg: RunConfig) -> int:
-    frames = _load_frames(cfg.inputs[0], cfg)
-    blob = Path(cfg.inputs[1]).read_bytes()
-    gen, saved_config = network.deserialize_weights(blob)
-    height, width = frames[0].y.height, frames[0].y.width
-    # weights are spatial-size agnostic; rebind the config to the input dims
+    frames = _load_frames(args.input, args)
     net_config = network.NetworkConfig(
-        width=width,
-        height=height,
-        base_channels=saved_config.base_channels,
-        use_attention=saved_config.use_attention,
-        use_glrc=saved_config.use_glrc,
+        width=frames[0].y.width,
+        height=frames[0].y.height,
+        base_channels=args.channels,
+        use_attention=not args.no_attention,
+        use_glrc=not args.no_glrc,
     )
-    gop = pipeline.split_gops(len(frames), cfg.gop_size)
-    video, kbps = pipeline.encode_sequence(frames, cfg.qp, gop, gen, net_config, cfg.fps)
-    pipeline.write_video(cfg.output, video)
-    report = pipeline.bitrate_report(video, cfg.fps)
-    print(f"encoded {len(frames)} frames at {kbps:.3f} kbps")
-    print(json.dumps(_json_safe(report), sort_keys=True))
+    gop = pipeline.split_gops(len(frames), args.gop)
+    pairs = trainer.build_training_set(frames, gop, args.qp)
+    gen = network.init_generator(net_config, args.seed)
+    disc = network.init_discriminator(net_config, args.seed)
+    history = trainer.train(gen, disc, net_config, pairs, train_config)
+    Path(args.out).write_bytes(network.serialize_weights(gen, net_config))
+    if args.loss_log:
+        Path(args.loss_log).write_text(trainer.history_to_csv(history), encoding="utf-8")
+    final = history[-1].total if history else float("nan")
+    print(f"trained {args.steps} steps on {len(pairs)} anchor pairs, final loss {final:.6g}")
     return EXIT_OK
 
 
-def cmd_decode(cfg: RunConfig) -> int:
-    video = pipeline.read_video(cfg.inputs[0])
+def cmd_encode(args) -> int:
+    frames = _load_frames(args.input, args)
+    gen, saved_config = network.deserialize_weights(Path(args.weights).read_bytes())
+    # weights are spatial-size agnostic; rebind the config to the input dims
+    net_config = replace(saved_config, width=frames[0].y.width, height=frames[0].y.height)
+    gop = pipeline.split_gops(len(frames), args.gop)
+    video, kbps = pipeline.encode_sequence(frames, args.qp, gop, gen, net_config, args.fps)
+    pipeline.write_video(args.out, video)
+    print(f"encoded {len(frames)} frames at {kbps:.3f} kbps")
+    print(metrics.report_to_json(pipeline.bitrate_report(video, args.fps)))
+    return EXIT_OK
+
+
+def cmd_decode(args) -> int:
+    video = pipeline.read_video(args.input)
     frames = pipeline.decode_sequence(video)
-    _write_frames(cfg.output, frames)
+    _write_frames(args.out, frames)
     print(f"decoded {len(frames)} frames of {video.width}x{video.height}")
     return EXIT_OK
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    ref = _load_frames(cfg.inputs[0], cfg)
-    test = _load_frames(cfg.inputs[1], cfg)
+def cmd_eval(args) -> int:
+    ref = _load_frames(args.ref, args)
+    test = _load_frames(args.test, args)
     if len(ref) != len(test):
         raise DataError(f"frame count mismatch: ref {len(ref)} vs test {len(test)}")
     rows = []
@@ -259,14 +169,14 @@ def cmd_eval(cfg: RunConfig) -> int:
     average = {
         key: sum(r[key] for r in rows) / len(rows) for key in rows[0]
     }
-    _emit_json({"frame_count": len(rows), "frames": rows, "average": average}, cfg.output)
+    _emit_json({"frame_count": len(rows), "frames": rows, "average": average}, args.out)
     return EXIT_OK
 
 
-def cmd_rd_report(cfg: RunConfig) -> int:
-    anchor = metrics.read_curve(cfg.inputs[0])
-    proposed = metrics.read_curve(cfg.inputs[1])
-    _emit_json(metrics.comparison_report(anchor, proposed), cfg.output)
+def cmd_rd_report(args) -> int:
+    anchor = metrics.read_curve(args.anchor)
+    proposed = metrics.read_curve(args.proposed)
+    _emit_json(metrics.comparison_report(anchor, proposed), args.out)
     return EXIT_OK
 
 
@@ -319,19 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qp", type=int, default=32)
     p.add_argument("--gop", type=int, default=6)
     p.add_argument("--fps", type=float, default=30.0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="compressed stream to write")
 
     p = sub.add_parser("decode", help="decompress a stream")
     p.add_argument("--input", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="raw file (suffix) or PPM directory (no suffix)")
 
     p = sub.add_parser("eval", help="compare decoded frames against a reference")
     p.add_argument("--ref", required=True)
     p.add_argument("--test", required=True)
     _add_raw_flags(p)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="report JSON (stdout when omitted)")
 
     p = sub.add_parser("rd-report", help="rate-distortion deltas and BD summary of two curves")
@@ -345,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve(args)
-        _log_config(cfg)
-        return _DISPATCH[cfg.command](cfg)
+        _apply_overrides(args)
+        print("config: " + json.dumps(vars(args), sort_keys=True), file=sys.stderr)
+        return _DISPATCH[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

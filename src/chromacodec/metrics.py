@@ -253,5 +253,16 @@ def comparison_report(anchor: RDCurve, test: RDCurve) -> dict:
     }
 
 
+def _inf_to_text(value):
+    if isinstance(value, dict):
+        return {k: _inf_to_text(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_inf_to_text(v) for v in value]
+    if isinstance(value, float) and math.isinf(value):
+        return "inf"
+    return value
+
+
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    """One line of JSON with sorted keys; infinities become the string "inf"."""
+    return json.dumps(_inf_to_text(report), sort_keys=True)

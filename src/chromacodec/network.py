@@ -21,6 +21,7 @@ component on or off never shifts the values of the others.
 from __future__ import annotations
 
 import io
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .binio import Reader
 from .errors import ConfigError, DataError, DimensionError
 
 ATTN_KEY_DIVISOR = 8  # f and g project channels down to ceil(C/8)
@@ -274,36 +276,6 @@ def generator_level_shapes(config: NetworkConfig):
     return shapes
 
 
-def generator_trace(store: WeightStore, config: NetworkConfig, luma: T.Tensor):
-    """Forward pass that also returns every stage's activation shape."""
-    trace = {}
-    m_prev = luma
-    ms = []
-    for i in range(1, 5):
-        x = m_prev if i == 1 else T.maxpool2(ms[-1])
-        if i > 1:
-            trace[f"P{i - 1}"] = ms[-1].shape[1:]
-        m = multires_block(store, f"m{i}", x)
-        ms.append(m)
-        trace[f"M{i}"] = m.shape[1:]
-        trace[f"A{i}"] = _skip(store, config, i, m).shape[1:]
-        m_prev = m
-    trace["P4"] = ms[3].shape[1:]
-
-    d1 = T.concat([ms[3], _skip(store, config, 4, ms[3])], axis=1)
-    trace["D1"] = d1.shape[1:]
-    u1 = T.relu(T.conv_transpose2d(d1, store["up1.w"], store["up1.b"], 2))
-    d2 = T.concat([u1, _skip(store, config, 3, ms[2])], axis=1)
-    trace["D2"] = d2.shape[1:]
-    u2 = T.relu(T.conv_transpose2d(d2, store["up2.w"], store["up2.b"], 2))
-    d3 = T.concat([u2, _skip(store, config, 2, ms[1])], axis=1)
-    trace["D3"] = d3.shape[1:]
-    u3 = T.relu(T.conv_transpose2d(d3, store["up3.w"], store["up3.b"], 2))
-    d4 = T.concat([u3, _skip(store, config, 1, ms[0])], axis=1)
-    trace["D4"] = d4.shape[1:]
-    return trace
-
-
 def discriminator_forward(store: WeightStore, image: T.Tensor) -> T.Tensor:
     """Map N×3×H×W to an N×1×H/8×W/8 patch map in (0, 1)."""
     if image.data.ndim != 4 or image.shape[1] != 3:
@@ -313,21 +285,6 @@ def discriminator_forward(store: WeightStore, image: T.Tensor) -> T.Tensor:
     x = T.leaky_relu(_conv(store, "c3", x, 2, 1))
     x = T.leaky_relu(_conv(store, "c4", x, 1, 1))
     return T.sigmoid(_conv(store, "c5", x, 1, 1))
-
-
-def discriminator_trace(store: WeightStore, image: T.Tensor):
-    trace = {}
-    x = T.leaky_relu(_conv(store, "c1", image, 2, 1))
-    trace["C1"] = x.shape[1:]
-    x = T.leaky_relu(_conv(store, "c2", x, 2, 1))
-    trace["C2"] = x.shape[1:]
-    x = T.leaky_relu(_conv(store, "c3", x, 2, 1))
-    trace["C3"] = x.shape[1:]
-    x = T.leaky_relu(_conv(store, "c4", x, 1, 1))
-    trace["C4"] = x.shape[1:]
-    x = T.sigmoid(_conv(store, "c5", x, 1, 1))
-    trace["C5"] = x.shape[1:]
-    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -378,36 +335,31 @@ def serialize_weights(store: WeightStore, config: NetworkConfig) -> bytes:
 
 def deserialize_weights(blob: bytes):
     """Inverse of serialize_weights; returns (store, config)."""
-    buf = io.BytesIO(blob)
-    if buf.read(4) != _MAGIC:
+    r = Reader(blob, "weight file")
+    if r.take(4, "magic") != _MAGIC:
         raise DataError("not a weight file: bad magic")
-    header = buf.read(struct.calcsize("<HIIIH"))
-    if len(header) != struct.calcsize("<HIIIH"):
-        raise DataError("truncated weight file header")
-    version, width, height, channels, flags = struct.unpack("<HIIIH", header)
+    version, width, height, channels, flags = r.unpack("<HIIIH", "header")
     if version != _VERSION:
         raise DataError(f"unsupported weight file version {version}")
-    config = NetworkConfig(
-        width=width,
-        height=height,
-        base_channels=channels,
-        use_attention=bool(flags & 1),
-        use_glrc=bool(flags & 2),
-    )
-    (count,) = struct.unpack("<I", buf.read(4))
+    try:
+        config = NetworkConfig(
+            width=width,
+            height=height,
+            base_channels=channels,
+            use_attention=bool(flags & 1),
+            use_glrc=bool(flags & 2),
+        )
+    except ConfigError as exc:
+        raise DataError(f"bad weight file header: {exc}") from exc
+    (count,) = r.unpack("<I", "weight count")
     store = WeightStore()
-    for _ in range(count):
-        (nlen,) = struct.unpack("<H", buf.read(2))
-        name = buf.read(nlen).decode("utf-8")
-        (ndim,) = struct.unpack("<B", buf.read(1))
-        shape = tuple(struct.unpack("<I", buf.read(4))[0] for _ in range(ndim))
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8 if ndim else 8
-        raw = buf.read(nbytes)
-        if len(raw) != nbytes:
-            raise DataError(f"truncated data for weight {name!r}")
+    for i in range(count):
+        (nlen,) = r.unpack("<H", f"weight {i} name length")
+        name = r.text(nlen, f"weight {i} name")
+        (ndim,) = r.unpack("<B", f"rank of weight {name!r}")
+        shape = r.unpack(f"<{ndim}I", f"shape of weight {name!r}")
+        raw = r.take(8 * math.prod(shape), f"data for weight {name!r}")
         data = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        t = T.Tensor(data, requires_grad=True)
-        store._tensors[name] = t
-    if buf.read(1):
-        raise DataError("trailing bytes after weight entries")
+        store._tensors[name] = T.Tensor(data, requires_grad=True)
+    r.finish("weight entries")
     return store, config

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import codec, network
 from . import tensor as T
+from .binio import Reader
 from .colorspace import (
     Frame,
     Plane,
@@ -43,16 +44,16 @@ _CODE_MODES = {v: k for k, v in _SUBSAMPLE_CODES.items()}
 class GopStructure:
     gop_size: int
     frame_count: int
-    anchors: tuple
 
     def __post_init__(self):
         if self.gop_size < 1:
             raise ConfigError(f"gop_size must be ≥ 1, got {self.gop_size}")
         if self.frame_count < 1:
             raise ConfigError(f"frame_count must be ≥ 1, got {self.frame_count}")
-        want = tuple(range(0, self.frame_count, self.gop_size))
-        if self.anchors != want:
-            raise ConfigError(f"anchors {self.anchors} != expected {want}")
+
+    @property
+    def anchors(self) -> tuple:
+        return tuple(range(0, self.frame_count, self.gop_size))
 
     def is_anchor(self, index: int) -> bool:
         return index % self.gop_size == 0
@@ -60,11 +61,7 @@ class GopStructure:
 
 def split_gops(frame_count: int, gop_size: int = 6) -> GopStructure:
     """Anchor at every multiple of gop_size."""
-    if gop_size < 1 or frame_count < 1:
-        raise ConfigError(
-            f"need frame_count ≥ 1 and gop_size ≥ 1, got {frame_count} and {gop_size}"
-        )
-    return GopStructure(gop_size, frame_count, tuple(range(0, frame_count, gop_size)))
+    return GopStructure(gop_size, frame_count)
 
 
 @dataclass(frozen=True)
@@ -99,6 +96,8 @@ class CompressedVideo:
 
 def encode_sequence(frames, qp: int, gop: GopStructure, gen_store, net_config, fps: float = 30.0):
     """Compress 4:4:4 frames; returns (CompressedVideo, kbps at the given fps)."""
+    if not fps > 0:
+        raise ConfigError(f"fps must be positive, got {fps}")
     if len(frames) != gop.frame_count:
         raise DimensionError(
             f"gop structure covers {gop.frame_count} frames, got {len(frames)}"
@@ -201,39 +200,30 @@ def serialize_video(video: CompressedVideo) -> bytes:
     return buf.getvalue()
 
 
-def _read_exact(buf, n, what):
-    data = buf.read(n)
-    if len(data) != n:
-        raise DataError(f"truncated container: {what}")
-    return data
-
-
 def deserialize_video(data: bytes) -> CompressedVideo:
-    buf = io.BytesIO(data)
-    if _read_exact(buf, 4, "magic") != _MAGIC:
+    r = Reader(data, "container")
+    if r.take(4, "magic") != _MAGIC:
         raise DataError("not a compressed video: bad magic")
-    header = _read_exact(buf, struct.calcsize(_HEADER), "header")
-    version, width, height, sub_code, qp, gop_size, frame_count, blob_len = struct.unpack(
-        _HEADER, header
+    version, width, height, sub_code, qp, gop_size, frame_count, blob_len = r.unpack(
+        _HEADER, "header"
     )
     if version != _VERSION:
         raise DataError(f"unsupported container version {version}")
     if sub_code not in _CODE_MODES:
         raise DataError(f"unknown subsample code {sub_code}")
-    blob = _read_exact(buf, blob_len, "weight blob")
+    blob = r.take(blob_len, "weight blob")
     records = []
     for i in range(frame_count):
-        (kind,) = struct.unpack("B", _read_exact(buf, 1, f"frame {i} type"))
+        (kind,) = r.unpack("B", f"frame {i} type")
         if kind not in (ANCHOR, LUMA_ONLY):
             raise DataError(f"frame {i}: unknown record type {kind}")
         payloads = []
         for p in range(3 if kind == ANCHOR else 1):
-            (plen,) = struct.unpack("<I", _read_exact(buf, 4, f"frame {i} plane {p} length"))
-            raw = _read_exact(buf, plen, f"frame {i} plane {p} payload")
+            (plen,) = r.unpack("<I", f"frame {i} plane {p} length")
+            raw = r.take(plen, f"frame {i} plane {p} payload")
             payloads.append(codec.PlanePayload(raw, len(raw) * 8))
         records.append(FrameRecord(kind, tuple(payloads)))
-    if buf.read(1):
-        raise DataError("trailing bytes after final frame record")
+    r.finish("final frame record")
     return CompressedVideo(
         width, height, qp, gop_size, _CODE_MODES[sub_code], blob, tuple(records)
     )

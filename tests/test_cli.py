@@ -71,6 +71,35 @@ class TestErrorPaths:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("train", ["--qp", 52]),
+            ("train", ["--gop", 0]),
+            ("train", ["--steps", -1]),
+            ("train", ["--loss-weights=-1,1,1,1"]),
+            ("encode", ["--qp", 52]),
+            ("encode", ["--gop", 0]),
+            ("encode", ["--fps", 0]),
+        ],
+    )
+    def test_out_of_range_setting_is_usage_error(self, raw_input, tmp_path, command, flags):
+        weights = tmp_path / "w.cgwt"
+        dims = ["--input", raw_input, "--width", 16, "--height", 16]
+        assert run(["train", *dims, "--steps", 0, "--out", weights]) == 0
+        extra = ["--steps", 0] if command == "train" else ["--weights", weights]
+        assert run([command, *dims, *extra, *flags, "--out", tmp_path / "out"]) == 2
+
+    def test_truncated_weight_file(self, raw_input, tmp_path, capsys):
+        weights = tmp_path / "w.cgwt"
+        assert run(["train", "--input", raw_input, "--width", 16, "--height", 16,
+                    "--steps", 0, "--out", weights]) == 0
+        weights.write_bytes(weights.read_bytes()[:30])
+        rc = run(["encode", "--input", raw_input, "--width", 16, "--height", 16,
+                  "--weights", weights, "--out", tmp_path / "s.cgv"])
+        assert rc == 3
+        assert "truncated weight file" in capsys.readouterr().err
+
     def test_multi_frame_to_single_ppm(self, raw_input, tmp_path):
         weights = tmp_path / "w.cgwt"
         stream = tmp_path / "s.cgv"

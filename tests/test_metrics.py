@@ -282,3 +282,6 @@ class TestCurveIO:
         report = metrics.comparison_report(anchor, proposed)
         text = metrics.report_to_json(report)
         assert "bd_rate_percent" in text and "delta_br_percent" in text
+        assert "\n" not in text
+        text = metrics.report_to_json({"points": [{"delta_br_percent": math.inf}]})
+        assert text == '{"points": [{"delta_br_percent": "inf"}]}'

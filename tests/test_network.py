@@ -1,5 +1,7 @@
 """Generator/discriminator geometry, ablation identities, and weight I/O."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -154,16 +156,37 @@ class TestGenerator:
         assert np.all(out.data >= -1.0) and np.all(out.data <= 1.0)
 
     @pytest.mark.parametrize("w,h,c", [(64, 64, 8), (16, 24, 6), (32, 16, 12)])
-    def test_stage_shapes_match_size_table(self, w, h, c):
+    def test_stage_shapes_match_size_table(self, w, h, c, monkeypatch):
         cfg = net.NetworkConfig(width=w, height=h, base_channels=c)
         gstore = net.init_generator(cfg, seed=14)
         dstore = net.init_discriminator(cfg, seed=14)
+        seen = {}
+
+        def spy(module, name, stages):
+            # wrap a module function so each call records the stage sizes it produced
+            real = getattr(module, name)
+
+            def wrapper(*args, **kw):
+                out = real(*args, **kw)
+                seen.update(stages(args, out))
+                return out
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        def decoder_join(args, out):
+            # the decoder's skip joins are the only two-way concatenations
+            if len(args[0]) != 2:
+                return {}
+            return {f"D{sum(k[0] == 'D' for k in seen) + 1}": out.shape[1:]}
+
+        spy(net, "multires_block", lambda a, out: {"M" + a[1][1:]: out.shape[1:]})
+        spy(net, "_skip", lambda a, out: {f"P{a[2]}": a[3].shape[1:], f"A{a[2]}": out.shape[1:]})
+        spy(T, "concat", decoder_join)
+        spy(net, "_conv", lambda a, out: {a[1].upper(): out.shape[1:]} if a[0] is dstore else {})
         rng = np.random.default_rng(9)
-        trace = net.generator_trace(gstore, cfg, T.Tensor(rng.uniform(-1, 1, (1, 1, h, w))))
-        trace.update(net.discriminator_trace(dstore, T.Tensor(rng.uniform(-1, 1, (1, 3, h, w)))))
-        want = net.generator_level_shapes(cfg)
-        for stage, shape in want.items():
-            assert trace[stage] == shape, stage
+        net.generator_forward(gstore, cfg, T.Tensor(rng.uniform(-1, 1, (1, 1, h, w))))
+        net.discriminator_forward(dstore, T.Tensor(rng.uniform(-1, 1, (1, 3, h, w))))
+        assert seen == net.generator_level_shapes(cfg)
 
     def test_deterministic_given_seed(self):
         cfg = small_config()
@@ -255,10 +278,26 @@ class TestWeightIO:
             net.deserialize_weights(b"XXXX" + b"\x00" * 32)
 
     def test_truncated_rejected(self):
+        # every strict prefix, of the smallest network so the loop stays short
+        cfg = small_config(base_channels=4)
+        blob = net.serialize_weights(net.init_discriminator(cfg, seed=24), cfg)
+        for n in range(len(blob)):
+            with pytest.raises(DataError):
+                net.deserialize_weights(blob[:n])
+
+    def test_bad_utf8_name_rejected(self):
         cfg = small_config()
-        blob = net.serialize_weights(net.init_generator(cfg, seed=24), cfg)
+        blob = net.serialize_weights(net.init_discriminator(cfg, seed=28), cfg)
+        name_at = 4 + struct.calcsize("<HIIIH") + 4 + 2  # magic, header, count, name length
         with pytest.raises(DataError):
-            net.deserialize_weights(blob[: len(blob) // 2])
+            net.deserialize_weights(blob[:name_at] + b"\xff" + blob[name_at + 1 :])
+
+    def test_bad_header_geometry_is_data_error(self):
+        cfg = small_config()
+        blob = net.serialize_weights(net.init_discriminator(cfg, seed=29), cfg)
+        width_at = 4 + 2  # magic, version
+        with pytest.raises(DataError):
+            net.deserialize_weights(blob[:width_at] + struct.pack("<I", 20) + blob[width_at + 4 :])
 
     def test_trailing_garbage_rejected(self):
         cfg = small_config()

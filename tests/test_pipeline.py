@@ -42,10 +42,6 @@ class TestGopStructure:
         assert gop.is_anchor(0) and gop.is_anchor(6)
         assert not gop.is_anchor(1) and not gop.is_anchor(11)
 
-    def test_inconsistent_anchors_rejected(self):
-        with pytest.raises(ConfigError):
-            pipeline.GopStructure(6, 12, (0, 5))
-
     def test_bad_sizes_rejected(self):
         with pytest.raises(ConfigError):
             pipeline.split_gops(0, 6)
