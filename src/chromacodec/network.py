@@ -21,6 +21,7 @@ component on or off never shifts the values of the others.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import struct
 import zlib
@@ -215,14 +216,10 @@ def optimized_rc(store: WeightStore, prefix: str, x: T.Tensor, use_glrc: bool) -
 def self_attention(store: WeightStore, prefix: str, x: T.Tensor) -> T.Tensor:
     """Non-local mixing over all spatial positions, gated by a learned gain."""
     n, c, h, w = x.shape
-    hw = h * w
-    f = T.reshape(_conv(store, f"{prefix}.f", x), (n, -1, hw))
-    g = T.reshape(_conv(store, f"{prefix}.g", x), (n, -1, hw))
-    hh = T.reshape(_conv(store, f"{prefix}.h", x), (n, c, hw))
-    scores = T.matmul(T.transpose_last2(f), g)  # (n, hw, hw)
-    attn = T.softmax(scores, axis=-1)
-    o = T.matmul(hh, T.transpose_last2(attn))
-    o = T.reshape(o, (n, c, h, w))
+    f, g, hh = (
+        T.reshape(_conv(store, f"{prefix}.{p}", x), (n, -1, h * w)) for p in "fgh"
+    )
+    o = T.reshape(T.attention(f, g, hh), (n, c, h, w))
     return T.mul(o, store[f"{prefix}.gain"]) + x
 
 
@@ -362,4 +359,11 @@ def deserialize_weights(blob: bytes):
         data = np.frombuffer(raw, dtype="<f8").reshape(shape)
         store._tensors[name] = T.Tensor(data, requires_grad=True)
     r.finish("weight entries")
+    found = [(name, t.shape) for name, t in store.items()]
+    wanted = [(name, t.shape) for name, t in init_generator(config, 0).items()]
+    for i, (got, want) in enumerate(itertools.zip_longest(found, wanted)):
+        if got != want:
+            raise DataError(
+                f"weight entry {i} is {got}, the network in the header needs {want}"
+            )
     return store, config

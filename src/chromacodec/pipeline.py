@@ -46,8 +46,8 @@ class GopStructure:
     frame_count: int
 
     def __post_init__(self):
-        if self.gop_size < 1:
-            raise ConfigError(f"gop_size must be ≥ 1, got {self.gop_size}")
+        if not 1 <= self.gop_size <= 255:  # the CGV1 header stores it in one byte
+            raise ConfigError(f"gop_size must be in 1..255, got {self.gop_size}")
         if self.frame_count < 1:
             raise ConfigError(f"frame_count must be ≥ 1, got {self.frame_count}")
 

@@ -105,6 +105,8 @@ def test_criterion_01_gradient_suite():
         )
         (mp,) = tensors((1, 2, 6, 6))
         checks.append(("maxpool2", lambda: T.grad_check(T.maxpool2, [mp], seed=22)))
+        qf, kg, vh = tensors((1, 2, 37), (1, 2, 37), (1, 3, 37))
+        checks.append(("attention", lambda: T.grad_check(T.attention, [qf, kg, vh], seed=24)))
 
         worst_op = 0.0
         for name, run in checks:

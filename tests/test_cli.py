@@ -100,6 +100,28 @@ class TestErrorPaths:
         assert rc == 3
         assert "truncated weight file" in capsys.readouterr().err
 
+    def test_gop_above_header_byte_is_usage_error(self, raw_input, tmp_path, capsys):
+        weights = tmp_path / "w.cgwt"
+        dims = ["--input", raw_input, "--width", 16, "--height", 16]
+        assert run(["train", *dims, "--steps", 0, "--out", weights]) == 0
+        rc = run(["encode", *dims, "--weights", weights, "--gop", 300,
+                  "--out", tmp_path / "s.cgv"])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_weight_names_not_matching_header_are_data_errors(self, raw_input, tmp_path):
+        weights = tmp_path / "w.cgwt"
+        stream = tmp_path / "s.cgv"
+        dims = ["--input", raw_input, "--width", 16, "--height", 16]
+        assert run(["train", *dims, "--steps", 0, "--out", weights]) == 0
+        assert run(["encode", *dims, "--weights", weights, "--out", stream]) == 0
+        renamed = tmp_path / "renamed.cgwt"
+        renamed.write_bytes(weights.read_bytes().replace(b"m1.c1.w", b"x1.c1.w"))
+        assert run(["encode", *dims, "--weights", renamed, "--out", tmp_path / "r.cgv"]) == 3
+        carried = tmp_path / "renamed.cgv"
+        carried.write_bytes(stream.read_bytes().replace(b"m1.c1.w", b"x1.c1.w"))
+        assert run(["decode", "--input", carried, "--out", tmp_path / "d.yuv"]) == 3
+
     def test_multi_frame_to_single_ppm(self, raw_input, tmp_path):
         weights = tmp_path / "w.cgwt"
         stream = tmp_path / "s.cgv"

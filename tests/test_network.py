@@ -1,6 +1,11 @@
 """Generator/discriminator geometry, ablation identities, and weight I/O."""
 
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,8 @@ import pytest
 from chromacodec import ConfigError, DataError, DimensionError
 from chromacodec import network as net
 from chromacodec import tensor as T
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def small_config(**kw):
@@ -229,6 +236,28 @@ class TestGenerator:
         err = T.grad_check(fn, params, seed=13, max_coords=6)
         assert err < 1e-3
 
+    def test_attention_at_176x144_peaks_under_1_5_gb(self):
+        # a dense level-1 score matrix alone would be 25344² × 8 B = 4.8 GiB;
+        # the address-space cap turns such a regression into a MemoryError
+        code = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+            import numpy as np
+            from chromacodec import network, tensor as T
+            cfg = network.NetworkConfig(width=176, height=144, use_attention=True)
+            store = network.init_generator(cfg, seed=0)
+            luma = np.random.default_rng(0).uniform(-1, 1, (1, 1, 144, 176))
+            out = network.generator_forward(store, cfg, T.Tensor(luma))
+            assert out.shape == (1, 2, 144, 176)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) * 1024 < 1.5e9  # ru_maxrss is in KiB
+
 
 class TestDiscriminator:
     def test_patch_map_shape_and_range(self):
@@ -304,6 +333,23 @@ class TestWeightIO:
         blob = net.serialize_weights(net.init_generator(cfg, seed=25), cfg)
         with pytest.raises(DataError):
             net.deserialize_weights(blob + b"\x00")
+
+    @pytest.mark.parametrize(
+        "old,new", [(b"m1.c1.w", b"x1.c1.w"), (b"head.w", b"head.b")]
+    )
+    def test_entries_must_match_header_network(self, old, new):
+        cfg = small_config()
+        blob = net.serialize_weights(net.init_generator(cfg, seed=27), cfg)
+        assert blob.count(old) == 1
+        with pytest.raises(DataError):
+            net.deserialize_weights(blob.replace(old, new))
+
+    def test_attention_flag_must_match_entries(self):
+        cfg = small_config(use_attention=False)
+        blob = net.serialize_weights(net.init_generator(cfg, seed=30), cfg)
+        flags_at = 4 + struct.calcsize("<HIII")  # magic, version, width, height, channels
+        with pytest.raises(DataError):
+            net.deserialize_weights(blob[:flags_at] + struct.pack("<H", 3) + blob[flags_at + 2 :])
 
     def test_per_name_seeding_isolates_components(self):
         # shared layers get identical values whether or not attention exists

@@ -47,6 +47,9 @@ class TestGopStructure:
             pipeline.split_gops(0, 6)
         with pytest.raises(ConfigError):
             pipeline.split_gops(12, 0)
+        with pytest.raises(ConfigError):  # the container header holds one byte
+            pipeline.split_gops(12, 256)
+        assert pipeline.split_gops(12, 255).anchors == (0,)
 
 
 class TestEncode:

@@ -243,3 +243,41 @@ class TestGradients:
 
         err = T.grad_check(fn, [(3, 4, 4), (3, 4, 4)], seed=9)
         assert err < 1e-4
+
+
+def composite_attention(f, g, h):
+    """The attention graph built from matmul, softmax and transpose_last2."""
+    scores = T.matmul(T.transpose_last2(f), g)
+    return T.matmul(h, T.transpose_last2(T.softmax(scores, axis=-1)))
+
+
+class TestAttention:
+    # (n, k, c, HW, blocks of query rows): HW > 512 runs a full and a
+    # partial block; k = 1 takes the outer-product path; n = 2 the batch axis
+    @pytest.mark.parametrize(
+        "n,k,c,hw,blocks", [(1, 2, 12, 600, 2), (2, 1, 4, 520, 2), (2, 3, 5, 70, 1)]
+    )
+    def test_matches_composite_graph(self, n, k, c, hw, blocks):
+        assert -(-hw // (T.ATTN_BLOCK // hw)) == blocks
+        rng = np.random.default_rng(hw)
+        arrays = [rng.standard_normal(s) for s in ((n, k, hw), (n, k, hw), (n, c, hw))]
+        proj = rng.standard_normal((n, c, hw))
+        results = []
+        for fn in (T.attention, composite_attention):
+            leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+            out = fn(*leaves)
+            T.backward(T.tsum(T.mul(out, T.Tensor(proj))))
+            results.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_gradient(self):
+        err = T.grad_check(T.attention, [(1, 2, 37), (1, 2, 37), (1, 3, 37)], seed=10)
+        assert err < 1e-4
+
+    def test_shape_mismatch_raises(self):
+        f = T.Tensor(np.zeros((1, 2, 9)))
+        with pytest.raises(DimensionError):
+            T.attention(f, T.Tensor(np.zeros((1, 3, 9))), T.Tensor(np.zeros((1, 4, 9))))
+        with pytest.raises(DimensionError):
+            T.attention(f, f, T.Tensor(np.zeros((1, 4, 8))))
