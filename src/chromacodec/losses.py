@@ -77,27 +77,27 @@ class GaussianKernel:
         return self.values.shape[0]
 
 
-def gaussian_kernel(theta: float, sigma: float = 3.0, size: int = 21) -> GaussianKernel:
-    """G(k,l) = theta * exp(-k^2/(2*sigma) - l^2/(2*sigma)), centered."""
+def _require_positive(**values):
+    for name, v in values.items():
+        if not v > 0:
+            raise ConfigError(f"{name} must be positive, got {v}")
+
+
+def _gaussian_taps(sigma: float = 3.0, size: int = 21) -> np.ndarray:
+    """Unit-amplitude 1-D Gaussian exp(-k^2/(2*sigma)), centered."""
     if size % 2 == 0 or size < 1:
         raise ConfigError(f"kernel size must be odd and positive, got {size}")
-    if theta <= 0 or sigma <= 0:
-        raise ConfigError("theta and sigma must be positive")
+    _require_positive(sigma=sigma)
     half = size // 2
     k = np.arange(-half, half + 1, dtype=np.float64)
-    one_d = np.exp(-(k * k) / (2.0 * sigma))
-    grid = theta * np.outer(one_d, one_d)
-    return GaussianKernel(grid, float(theta), float(sigma))
+    return np.exp(-(k * k) / (2.0 * sigma))
 
 
-def _filter_same(x: T.Tensor, kernel: GaussianKernel) -> T.Tensor:
-    """Depthwise same-padded filtering with one shared kernel per channel."""
-    channels = x.shape[1]
-    k = kernel.size
-    w = np.zeros((channels, channels, k, k))
-    for c in range(channels):
-        w[c, c] = kernel.values
-    return T.conv2d(x, T.Tensor(w), None, stride=1, padding=k // 2)
+def gaussian_kernel(theta: float, sigma: float = 3.0, size: int = 21) -> GaussianKernel:
+    """G(k,l) = theta * exp(-k^2/(2*sigma) - l^2/(2*sigma)), centered."""
+    _require_positive(theta=theta)
+    one_d = _gaussian_taps(sigma, size)
+    return GaussianKernel(theta * np.outer(one_d, one_d), float(theta), float(sigma))
 
 
 def color_loss(
@@ -108,12 +108,17 @@ def color_loss(
     sigma: float = 3.0,
     size: int = 21,
 ) -> T.Tensor:
-    """Squared difference of Gaussian-filtered images, mean-normalized."""
+    """Squared difference of Gaussian-filtered images, mean-normalized.
+
+    The two kernels differ only in amplitude, so by linearity the
+    difference of the filtered images is one unit-amplitude filtering of
+    theta_gen·gen − theta_target·target.
+    """
     if gen.shape != target.shape:
         raise DimensionError(f"color_loss shapes differ: {gen.shape} vs {target.shape}")
-    a = _filter_same(gen, gaussian_kernel(theta_gen, sigma, size))
-    b = _filter_same(target, gaussian_kernel(theta_target, sigma, size))
-    return T.mean(T.square(a - b))
+    _require_positive(theta_gen=theta_gen, theta_target=theta_target)
+    diff = T.scale(gen, theta_gen) - T.scale(target, theta_target)
+    return T.mean(T.square(T.separable_filter(diff, _gaussian_taps(sigma, size))))
 
 
 class FeatureExtractor:

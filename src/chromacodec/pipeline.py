@@ -211,6 +211,11 @@ def deserialize_video(data: bytes) -> CompressedVideo:
         raise DataError(f"unsupported container version {version}")
     if sub_code not in _CODE_MODES:
         raise DataError(f"unknown subsample code {sub_code}")
+    try:
+        codec.CodecParams(qp)
+        GopStructure(gop_size, frame_count)
+    except ConfigError as exc:
+        raise DataError(f"bad stream header: {exc}") from exc
     blob = r.take(blob_len, "weight blob")
     records = []
     for i in range(frame_count):

@@ -523,6 +523,37 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int
     return _result(out, parents, backprop)
 
 
+def _band(n, taps):
+    """n×n matrix M with M[i, j] = taps[j - i + r]: M @ v correlates v with taps."""
+    r = len(taps) // 2
+    idx = np.arange(n)
+    t = idx[None, :] - idx[:, None] + r
+    inside = (t >= 0) & (t < len(taps))
+    return np.where(inside, taps[np.clip(t, 0, len(taps) - 1)], 0.0)
+
+
+def separable_filter(x: Tensor, taps) -> Tensor:
+    """Same-size, zero-padded correlation of each channel with outer(taps, taps).
+
+    `taps` is a constant odd-length 1-D array. The filter is applied as
+    rows @ x @ colsᵀ with banded rows (H×H) and cols (W×W), so backward
+    is the exact adjoint rowsᵀ @ g @ cols.
+    """
+    xd = x.data
+    taps = np.asarray(taps, dtype=np.float64)
+    if xd.ndim != 4:
+        raise DimensionError(f"separable_filter: input must be N×C×H×W, got {xd.shape}")
+    if taps.ndim != 1 or len(taps) % 2 == 0:
+        raise DimensionError(f"separable_filter: taps must be 1-D of odd length, got {taps.shape}")
+    rows = _band(xd.shape[2], taps)
+    cols = _band(xd.shape[3], taps)
+
+    def backprop(g):
+        _accum(x, rows.T @ g @ cols)
+
+    return _result(rows @ xd @ cols.T, (x,), backprop)
+
+
 def _dilate(x, stride):
     if stride == 1:
         return x

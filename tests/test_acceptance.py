@@ -107,6 +107,13 @@ def test_criterion_01_gradient_suite():
         checks.append(("maxpool2", lambda: T.grad_check(T.maxpool2, [mp], seed=22)))
         qf, kg, vh = tensors((1, 2, 37), (1, 2, 37), (1, 3, 37))
         checks.append(("attention", lambda: T.grad_check(T.attention, [qf, kg, vh], seed=24)))
+        (sx,) = tensors((1, 2, 6, 7))
+        taps = np.array([0.3, -1.2, 0.7, 2.0, 0.1])
+        checks.append(
+            ("separable_filter", lambda: T.grad_check(
+                lambda x: T.separable_filter(x, taps), [sx], seed=27
+            ))
+        )
 
         worst_op = 0.0
         for name, run in checks:

@@ -122,6 +122,21 @@ class TestErrorPaths:
         carried.write_bytes(stream.read_bytes().replace(b"m1.c1.w", b"x1.c1.w"))
         assert run(["decode", "--input", carried, "--out", tmp_path / "d.yuv"]) == 3
 
+    @pytest.mark.parametrize("offset,value", [(11, 60), (12, 0)])  # QP byte, GOP byte
+    def test_out_of_range_stream_header_is_data_error(
+        self, raw_input, tmp_path, capsys, offset, value
+    ):
+        weights = tmp_path / "w.cgwt"
+        stream = tmp_path / "s.cgv"
+        dims = ["--input", raw_input, "--width", 16, "--height", 16]
+        assert run(["train", *dims, "--steps", 0, "--out", weights]) == 0
+        assert run(["encode", *dims, "--weights", weights, "--out", stream]) == 0
+        blob = bytearray(stream.read_bytes())
+        blob[offset] = value
+        stream.write_bytes(bytes(blob))
+        assert run(["decode", "--input", stream, "--out", tmp_path / "d.yuv"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_multi_frame_to_single_ppm(self, raw_input, tmp_path):
         weights = tmp_path / "w.cgwt"
         stream = tmp_path / "s.cgv"

@@ -1,11 +1,31 @@
 """Loss term identities, kernel values, and mixing arithmetic."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from chromacodec import ConfigError
 from chromacodec import losses as L
 from chromacodec import tensor as T
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def two_filter_color_loss(gen, target, theta_gen=0.062, theta_target=0.065):
+    """Reference: the paper's form, each image filtered with its own dense kernel grid."""
+    def blur(x, theta):
+        c = x.shape[1]
+        w = np.zeros((c, c, 21, 21))
+        for i in range(c):
+            w[i, i] = L.gaussian_kernel(theta).values
+        return T.conv2d(x, T.Tensor(w), None, stride=1, padding=10)
+
+    return T.mean(T.square(blur(gen, theta_gen) - blur(target, theta_target)))
 
 
 class TestGanLoss:
@@ -134,6 +154,41 @@ class TestColorLoss:
             lambda a, b: L.color_loss(a, b, size=5), [(1, 2, 6, 6), (1, 2, 6, 6)], seed=8
         )
         assert err < 1e-4
+
+
+class TestColorLossReference:
+    @pytest.mark.parametrize("shape", [(1, 2, 24, 40), (1, 2, 144, 176)])
+    def test_matches_two_filter_form(self, shape):
+        rng = np.random.default_rng(shape[2])
+        gen_data = rng.uniform(-1, 1, shape)
+        target = T.Tensor(rng.uniform(-1, 1, shape))
+        results = []
+        for fn in (L.color_loss, two_filter_color_loss):
+            gen = T.Tensor(gen_data, requires_grad=True)
+            loss = fn(gen, target)
+            T.backward(loss)
+            results.append((loss.data, gen.grad))
+        for got, want in zip(*results):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_176x144_peaks_under_150_mb(self):
+        # VmHWM, not ru_maxrss: a spawned child's ru_maxrss starts from this
+        # process's own peak, which the 176×144 dense reference above raises
+        code = textwrap.dedent("""
+            import numpy as np
+            from chromacodec import losses, tensor as T
+            rng = np.random.default_rng(0)
+            gen = T.Tensor(rng.uniform(-1, 1, (1, 2, 144, 176)), requires_grad=True)
+            T.backward(losses.color_loss(gen, T.Tensor(rng.uniform(-1, 1, (1, 2, 144, 176)))))
+            with open("/proc/self/status") as fh:
+                print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) * 1024 < 150e6  # VmHWM is in KiB
 
 
 class TestContentLoss:

@@ -127,6 +127,18 @@ class TestContainer:
         with pytest.raises(DataError, match="frame"):
             pipeline.deserialize_video(blob[:-10])
 
+    # header bytes after the 4-byte magic: version 4-5, width 6-7, height 8-9,
+    # subsample 10, QP 11, GOP 12
+    @pytest.mark.parametrize("offset,value", [(11, 60), (12, 0)])
+    def test_out_of_range_header_byte_is_data_error(self, offset, value):
+        frames = make_sequence(2, seed=10)
+        store, cfg = tiny_net(seed=10)
+        video, _ = pipeline.encode_sequence(frames, 32, pipeline.split_gops(2, 6), store, cfg)
+        blob = bytearray(pipeline.serialize_video(video))
+        blob[offset] = value
+        with pytest.raises(DataError, match="header"):
+            pipeline.deserialize_video(bytes(blob))
+
     def test_trailing_bytes_rejected(self):
         frames = make_sequence(1, seed=8)
         store, cfg = tiny_net(seed=8)

@@ -281,3 +281,41 @@ class TestAttention:
             T.attention(f, T.Tensor(np.zeros((1, 3, 9))), T.Tensor(np.zeros((1, 4, 9))))
         with pytest.raises(DimensionError):
             T.attention(f, f, T.Tensor(np.zeros((1, 4, 8))))
+
+
+def dense_separable_filter(x, taps):
+    """Reference: conv2d with a diagonal C×C×k×k kernel holding outer(taps, taps)."""
+    c, k = x.shape[1], len(taps)
+    w = np.zeros((c, c, k, k))
+    for i in range(c):
+        w[i, i] = np.outer(taps, taps)
+    return T.conv2d(x, T.Tensor(w), None, stride=1, padding=k // 2)
+
+
+class TestSeparableFilter:
+    # asymmetric taps, so a transposed band in backward would show; (1, 2, 24, 40)
+    # cuts the band at both edges, (2, 3, 6, 9) has taps longer than H and W
+    @pytest.mark.parametrize("shape", [(1, 2, 24, 40), (2, 3, 6, 9)])
+    def test_matches_dense_conv2d(self, shape):
+        rng = np.random.default_rng(shape[2])
+        taps = rng.standard_normal(21)
+        data, proj = rng.standard_normal(shape), rng.standard_normal(shape)
+        results = []
+        for fn in (T.separable_filter, dense_separable_filter):
+            x = T.Tensor(data, requires_grad=True)
+            out = fn(x, taps)
+            T.backward(T.tsum(T.mul(out, T.Tensor(proj))))
+            results.append((out.data, x.grad))
+        for got, want in zip(*results):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_gradient(self):
+        taps = np.array([0.3, -1.2, 0.7, 2.0, 0.1])
+        err = T.grad_check(lambda x: T.separable_filter(x, taps), [(1, 2, 6, 7)], seed=11)
+        assert err < 1e-4
+
+    def test_shape_errors(self):
+        with pytest.raises(DimensionError):
+            T.separable_filter(T.Tensor(np.zeros((2, 6, 6))), np.ones(3))
+        with pytest.raises(DimensionError):
+            T.separable_filter(T.Tensor(np.zeros((1, 2, 6, 6))), np.ones(4))
