@@ -31,13 +31,7 @@ from .errors import ConfigError, DataError, DimensionError
 ANCHOR = 0
 LUMA_ONLY = 1
 
-_SUBSAMPLE_CODES = {
-    SubsamplingMode.S444: 0,
-    SubsamplingMode.S422: 1,
-    SubsamplingMode.S420: 2,
-    SubsamplingMode.S400: 3,
-}
-_CODE_MODES = {v: k for k, v in _SUBSAMPLE_CODES.items()}
+_S420_CODE = 2  # the stream header's subsample byte: anchors are always 4:2:0
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,7 @@ class CompressedVideo:
     height: int
     qp: int
     gop_size: int
-    anchor_mode: SubsamplingMode
+    anchor_mode: SubsamplingMode  # always 4:2:0
     weight_blob: bytes
     records: tuple
 
@@ -132,13 +126,12 @@ def encode_sequence(frames, qp: int, gop: GopStructure, gen_store, net_config, f
     return video, kbps
 
 
-def _decode_anchor(record, width, height, mode, params):
-    cdims = chroma_dims(width, height, mode)
+def _decode_anchor(record, width, height, params):
+    cdims = chroma_dims(width, height, SubsamplingMode.S420)
     y = codec.decode_plane(record.payloads[0], (width, height), params)
     cb = codec.decode_plane(record.payloads[1], cdims, params)
     cr = codec.decode_plane(record.payloads[2], cdims, params)
-    frame = Frame(Plane(y), Plane(cb), Plane(cr), mode)
-    return upsample(frame) if mode is not SubsamplingMode.S444 else frame
+    return upsample(Frame(Plane(y), Plane(cb), Plane(cr), SubsamplingMode.S420))
 
 
 def decode_sequence(video: CompressedVideo):
@@ -149,9 +142,7 @@ def decode_sequence(video: CompressedVideo):
     for i, record in enumerate(video.records):
         try:
             if record.kind == ANCHOR:
-                frames.append(
-                    _decode_anchor(record, video.width, video.height, video.anchor_mode, params)
-                )
+                frames.append(_decode_anchor(record, video.width, video.height, params))
                 continue
             y = codec.decode_plane(
                 record.payloads[0], (video.width, video.height), params
@@ -184,7 +175,7 @@ def serialize_video(video: CompressedVideo) -> bytes:
             _VERSION,
             video.width,
             video.height,
-            _SUBSAMPLE_CODES[video.anchor_mode],
+            _S420_CODE,
             video.qp,
             video.gop_size,
             video.frame_count,
@@ -209,8 +200,10 @@ def deserialize_video(data: bytes) -> CompressedVideo:
     )
     if version != _VERSION:
         raise DataError(f"unsupported container version {version}")
-    if sub_code not in _CODE_MODES:
-        raise DataError(f"unknown subsample code {sub_code}")
+    if sub_code != _S420_CODE:
+        raise DataError(
+            f"bad stream header: subsample code {sub_code} is not 4:2:0 ({_S420_CODE})"
+        )
     try:
         codec.CodecParams(qp)
         GopStructure(gop_size, frame_count)
@@ -230,7 +223,7 @@ def deserialize_video(data: bytes) -> CompressedVideo:
         records.append(FrameRecord(kind, tuple(payloads)))
     r.finish("final frame record")
     return CompressedVideo(
-        width, height, qp, gop_size, _CODE_MODES[sub_code], blob, tuple(records)
+        width, height, qp, gop_size, SubsamplingMode.S420, blob, tuple(records)
     )
 
 

@@ -491,21 +491,28 @@ def _conv_dx(g, w, x_shape, stride, padding):
     return dxp
 
 
+def _check_conv(op, xd, wd, b, cin_axis):
+    """Shapes shared by conv2d (cin_axis 1) and conv_transpose2d (cin_axis 0)."""
+    cout_axis = 1 - cin_axis
+    layout = "Cout×Cin×k×k" if cin_axis else "Cin×Cout×k×k"
+    if xd.ndim != 4:
+        raise DimensionError(f"{op}: input must be N×C×H×W, got {xd.shape}")
+    if wd.ndim != 4 or wd.shape[2] != wd.shape[3]:
+        raise DimensionError(f"{op}: weights must be {layout}, got {wd.shape}")
+    if xd.shape[1] != wd.shape[cin_axis]:
+        raise DimensionError(
+            f"{op}: input channels {xd.shape[1]} (axis 1) != kernel Cin {wd.shape[cin_axis]}"
+        )
+    if b is not None and b.data.shape != (wd.shape[cout_axis],):
+        raise DimensionError(
+            f"{op}: bias shape {b.data.shape} != ({wd.shape[cout_axis]},) (axis {cout_axis})"
+        )
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution, weights (Cout, Cin, k, k), square kernels."""
     xd, wd = x.data, w.data
-    if xd.ndim != 4:
-        raise DimensionError(f"conv2d: input must be N×C×H×W, got {xd.shape}")
-    if wd.ndim != 4 or wd.shape[2] != wd.shape[3]:
-        raise DimensionError(f"conv2d: weights must be Cout×Cin×k×k, got {wd.shape}")
-    if xd.shape[1] != wd.shape[1]:
-        raise DimensionError(
-            f"conv2d: input channels {xd.shape[1]} (axis 1) != kernel Cin {wd.shape[1]}"
-        )
-    if b is not None and b.data.shape != (wd.shape[0],):
-        raise DimensionError(
-            f"conv2d: bias shape {b.data.shape} != ({wd.shape[0]},) (axis 0)"
-        )
+    _check_conv("conv2d", xd, wd, b, cin_axis=1)
     k = wd.shape[2]
     out = _conv_fwd(xd, wd, stride, padding)
     if b is not None:
@@ -554,42 +561,21 @@ def separable_filter(x: Tensor, taps) -> Tensor:
     return _result(rows @ xd @ cols.T, (x,), backprop)
 
 
-def _dilate(x, stride):
-    if stride == 1:
-        return x
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, (h - 1) * stride + 1, (w - 1) * stride + 1))
-    out[:, :, ::stride, ::stride] = x
-    return out
-
-
 def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
     """Transposed convolution, weights (Cin, Cout, k, k), no padding.
 
-    Output spatial size is (H-1)·stride + k. With a shared weight array
-    this operation is the exact adjoint of conv2d at the same stride and
-    zero padding.
+    Output spatial size is (H-1)·stride + k. The op is the adjoint of the
+    conv2d whose (Cout, Cin, k, k) weights are this op's (Cin, Cout, k, k)
+    array, so it runs on conv2d's kernels with their roles swapped:
+    forward is conv2d's input gradient, the input gradient is conv2d's
+    forward, and the weight gradient is conv2d's with x and g exchanged.
     """
     xd, wd = x.data, w.data
-    if xd.ndim != 4:
-        raise DimensionError(f"conv_transpose2d: input must be N×C×H×W, got {xd.shape}")
-    if wd.ndim != 4 or wd.shape[2] != wd.shape[3]:
-        raise DimensionError(
-            f"conv_transpose2d: weights must be Cin×Cout×k×k, got {wd.shape}"
-        )
-    if xd.shape[1] != wd.shape[0]:
-        raise DimensionError(
-            f"conv_transpose2d: input channels {xd.shape[1]} (axis 1) != kernel Cin {wd.shape[0]}"
-        )
-    if b is not None and b.data.shape != (wd.shape[1],):
-        raise DimensionError(
-            f"conv_transpose2d: bias shape {b.data.shape} != ({wd.shape[1]},) (axis 1)"
-        )
+    _check_conv("conv_transpose2d", xd, wd, b, cin_axis=0)
+    n, _, h, wdt = xd.shape
     k = wd.shape[2]
-    xdil = _dilate(xd, stride)
-    # conv with in/out swapped and spatially flipped weights on the dilated input
-    w_conv = wd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-    out = _conv_fwd(xdil, np.ascontiguousarray(w_conv), 1, k - 1)
+    out_shape = (n, wd.shape[1], (h - 1) * stride + k, (wdt - 1) * stride + k)
+    out = _conv_dx(xd, wd, out_shape, stride, 0)
     if b is not None:
         out += b.data.reshape(1, -1, 1, 1)
     parents = (x, w) if b is None else (x, w, b)
@@ -598,10 +584,8 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) ->
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
-            dw_conv = _conv_dw(xdil, g, k, 1, k - 1)
-            _accum(w, np.ascontiguousarray(dw_conv.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]))
+            _accum(w, _conv_dw(g, xd, k, stride, 0))
         if x.requires_grad:
-            # adjoint of the adjoint: a plain forward convolution
             _accum(x, _conv_fwd(g, wd, stride, 0))
 
     return _result(out, parents, backprop)

@@ -23,24 +23,22 @@ from .colorspace import Frame, SubsamplingMode
 from .errors import ConfigError, DimensionError, NumericError
 
 
+# Adam settings; learning rate and β1 as in DCGAN (Radford et al. 2016)
+LEARNING_RATE = 2e-4
+BETA1 = 0.5
+BETA2 = 0.999
+EPSILON = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     steps: int = 1
     seed: int = 0
     weights: losses.LossWeights = field(default_factory=losses.LossWeights)
-    d_steps_per_g_step: int = 1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.steps < 0:
             raise ConfigError(f"steps must be nonnegative, got {self.steps}")
-        if self.d_steps_per_g_step < 0:
-            raise ConfigError("d_steps_per_g_step must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -68,21 +66,18 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(tensors, state: AdamState, config: TrainConfig) -> None:
+def adam_step(tensors, state: AdamState) -> None:
     """One bias-corrected Adam update in place; missing grads count as zero."""
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
-    correct1 = 1.0 - b1**state.t
-    correct2 = 1.0 - b2**state.t
+    correct1 = 1.0 - BETA1**state.t
+    correct2 = 1.0 - BETA2**state.t
     for t, m, v in zip(tensors, state.m, state.v):
         g = t.grad if t.grad is not None else 0.0
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        t.data -= config.learning_rate * (m / correct1) / (
-            np.sqrt(v / correct2) + config.epsilon
-        )
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
+        t.data -= LEARNING_RATE * (m / correct1) / (np.sqrt(v / correct2) + EPSILON)
 
 
 def build_training_set(frames, gop, qp: int):
@@ -144,25 +139,23 @@ def train(
     net_config: network.NetworkConfig,
     pairs,
     config: TrainConfig,
-    extractor=None,
 ):
     """Run the alternating loop; mutates both stores, returns step history.
 
     Loss components whose weight is zero are skipped entirely (reported
-    as 0.0), which also disables the discriminator pass when the
-    adversarial weight is zero and d_steps_per_g_step is 0.
+    as 0.0). The discriminator trains only when the adversarial weight is
+    positive: it is never saved, so otherwise it could not change the
+    generator.
     """
     if not pairs:
         raise ConfigError("training needs at least one pair")
     w = config.weights
-    if extractor is None and w.content > 0:
-        extractor = losses.FeatureExtractor(2, seed=config.seed)
+    extractor = losses.FeatureExtractor(2, seed=config.seed) if w.content > 0 else None
 
     gen_params = gen_store.tensors()
     disc_params = disc_store.tensors()
     gen_state = AdamState(gen_params)
     disc_state = AdamState(disc_params)
-    use_disc = w.gan > 0 or config.d_steps_per_g_step > 0
 
     history = []
     for step in range(config.steps):
@@ -172,23 +165,19 @@ def train(
 
         gen_out = network.generator_forward(gen_store, net_config, luma_t)
 
-        d_loss_val = 0.0
-        if use_disc:
-            real = _images(luma_t, target_t)
-            fake_detached = _images(luma_t, gen_out.detach())
-            for _ in range(config.d_steps_per_g_step):
-                d_loss = losses.discriminator_loss(
-                    network.discriminator_forward(disc_store, real),
-                    network.discriminator_forward(disc_store, fake_detached),
-                )
-                d_loss_val = _check_finite(d_loss.item(), "discriminator loss", step)
-                disc_store.zero_grad()
-                T.backward(d_loss)
-                adam_step(disc_params, disc_state, config)
-
         zero = T.Tensor(0.0)
         gan_term = zero
+        d_loss_val = 0.0
         if w.gan > 0:
+            d_loss = losses.discriminator_loss(
+                network.discriminator_forward(disc_store, _images(luma_t, target_t)),
+                network.discriminator_forward(disc_store, _images(luma_t, gen_out.detach())),
+            )
+            d_loss_val = _check_finite(d_loss.item(), "discriminator loss", step)
+            disc_store.zero_grad()
+            T.backward(d_loss)
+            adam_step(disc_params, disc_state)
+
             d_fake = network.discriminator_forward(disc_store, _images(luma_t, gen_out))
             gan_term = losses.gan_loss(d_fake)
         mse_term = losses.mse_loss(gen_out, target_t) if w.mse > 0 else zero
@@ -201,7 +190,7 @@ def train(
         _check_finite(total.item(), "generator loss", step)
         gen_store.zero_grad()
         T.backward(total)
-        adam_step(gen_params, gen_state, config)
+        adam_step(gen_params, gen_state)
 
         history.append(
             StepRecord(

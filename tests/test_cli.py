@@ -122,7 +122,8 @@ class TestErrorPaths:
         carried.write_bytes(stream.read_bytes().replace(b"m1.c1.w", b"x1.c1.w"))
         assert run(["decode", "--input", carried, "--out", tmp_path / "d.yuv"]) == 3
 
-    @pytest.mark.parametrize("offset,value", [(11, 60), (12, 0)])  # QP byte, GOP byte
+    # subsample byte (only 2, 4:2:0, is valid), QP byte, GOP byte
+    @pytest.mark.parametrize("offset,value", [(10, 3), (11, 60), (12, 0)])
     def test_out_of_range_stream_header_is_data_error(
         self, raw_input, tmp_path, capsys, offset, value
     ):

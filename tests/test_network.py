@@ -238,7 +238,9 @@ class TestGenerator:
 
     def test_attention_at_176x144_peaks_under_1_5_gb(self):
         # a dense level-1 score matrix alone would be 25344² × 8 B = 4.8 GiB;
-        # the address-space cap turns such a regression into a MemoryError
+        # the address-space cap turns such a regression into a MemoryError.
+        # VmHWM, not ru_maxrss: a spawned child's ru_maxrss starts from this
+        # process's own peak
         code = textwrap.dedent("""
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
@@ -249,14 +251,15 @@ class TestGenerator:
             luma = np.random.default_rng(0).uniform(-1, 1, (1, 1, 144, 176))
             out = network.generator_forward(store, cfg, T.Tensor(luma))
             assert out.shape == (1, 2, 144, 176)
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            with open("/proc/self/status") as fh:
+                print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
         """)
         proc = subprocess.run(
             [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout.split()[-1]) * 1024 < 1.5e9  # ru_maxrss is in KiB
+        assert int(proc.stdout.split()[-1]) * 1024 < 1.5e9  # VmHWM is in KiB
 
 
 class TestDiscriminator:

@@ -128,8 +128,10 @@ class TestContainer:
             pipeline.deserialize_video(blob[:-10])
 
     # header bytes after the 4-byte magic: version 4-5, width 6-7, height 8-9,
-    # subsample 10, QP 11, GOP 12
-    @pytest.mark.parametrize("offset,value", [(11, 60), (12, 0)])
+    # subsample 10 (only 2, 4:2:0, is valid), QP 11, GOP 12
+    @pytest.mark.parametrize(
+        "offset,value", [(10, 0), (10, 1), (10, 3), (10, 255), (11, 60), (12, 0)]
+    )
     def test_out_of_range_header_byte_is_data_error(self, offset, value):
         frames = make_sequence(2, seed=10)
         store, cfg = tiny_net(seed=10)

@@ -1,8 +1,9 @@
 """Autodiff engine checks against independent oracles.
 
-Convolutions are compared with a direct nested-loop implementation,
-gradients with central finite differences, and the transposed
-convolution with the adjoint identity <conv(x), y> == <x, conv_t(y)>.
+Convolutions are compared with direct nested-loop implementations (a
+scatter loop for the transposed one), gradients with central finite
+differences, and the transposed convolution also with the adjoint
+identity <conv(x), y> == <x, conv_t(y)>.
 """
 
 import numpy as np
@@ -33,6 +34,22 @@ def loop_conv2d(x, w, b, stride, padding):
                                     * w[oc, ic, ky, kx]
                                 )
                     out[ni, oc, oy, ox] = acc + (b[oc] if b is not None else 0.0)
+    return out
+
+
+def loop_conv_transpose2d(x, w, b, stride):
+    """Reference transposed convolution: each input pixel scatters x·w into its k×k patch."""
+    n, ci, h, wdt = x.shape
+    _, co, k, _ = w.shape
+    out = np.zeros((n, co, (h - 1) * stride + k, (wdt - 1) * stride + k))
+    for ni in range(n):
+        for ic in range(ci):
+            for iy in range(h):
+                for ix in range(wdt):
+                    y0, x0 = iy * stride, ix * stride
+                    out[ni, :, y0 : y0 + k, x0 : x0 + k] += x[ni, ic, iy, ix] * w[ic]
+    if b is not None:
+        out += b.reshape(1, -1, 1, 1)
     return out
 
 
@@ -153,6 +170,22 @@ class TestConv:
         w = T.Tensor(np.zeros((4, 2, 3, 3)))
         with pytest.raises(DimensionError):
             T.conv2d(x, w, None, 1, 1)
+        with pytest.raises(DimensionError, match="kernel Cin 4"):
+            T.conv_transpose2d(x, w, None, 2)
+        with pytest.raises(DimensionError, match=r"bias shape \(4,\) != \(2,\) \(axis 1\)"):
+            T.conv_transpose2d(T.Tensor(np.zeros((1, 4, 8, 8))), w, T.Tensor(np.zeros(4)), 2)
+
+    @pytest.mark.parametrize("stride, k", [(1, 3), (2, 2), (2, 3), (2, 1), (3, 2)])
+    def test_transpose_matches_scatter_loop(self, stride, k):
+        # overlapping patches (k > stride), exact tiling (k == stride) and gaps (k < stride)
+        rng = np.random.default_rng(20 + 10 * stride + k)
+        x = rng.standard_normal((2, 3, 4, 5))
+        w = rng.standard_normal((3, 2, k, k))
+        b = rng.standard_normal(2)
+        got = T.conv_transpose2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride).data
+        want = loop_conv_transpose2d(x, w, b, stride)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_transpose_output_size(self):
         x = T.Tensor(np.zeros((1, 3, 5, 7)))
@@ -203,6 +236,14 @@ class TestGradients:
             lambda x, w, b: T.conv_transpose2d(x, w, b, 2),
             [(2, 3, 4, 4), (3, 2, 2, 2), (2,)],
             seed=2,
+        )
+        assert err < 1e-4
+
+    def test_conv_transpose2d_overlapping(self):
+        err = T.grad_check(
+            lambda x, w, b: T.conv_transpose2d(x, w, b, 2),
+            [(2, 3, 4, 5), (3, 2, 3, 3), (2,)],
+            seed=5,
         )
         assert err < 1e-4
 

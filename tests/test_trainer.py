@@ -30,33 +30,29 @@ class TestAdam:
     def test_zero_gradient_keeps_weights(self):
         t = T.Tensor([1.0, 2.0], requires_grad=True)
         state = trainer.AdamState([t])
-        trainer.adam_step([t], state, trainer.TrainConfig())
+        trainer.adam_step([t], state)
         assert np.array_equal(t.data, [1.0, 2.0])
         assert state.t == 1
 
     def test_first_step_closed_form(self):
-        cfg = trainer.TrainConfig(learning_rate=2e-4)
         t = T.Tensor(5.0, requires_grad=True)
         t.grad = np.asarray(1.0)
-        trainer.adam_step([t], trainer.AdamState([t]), cfg)
+        trainer.adam_step([t], trainer.AdamState([t]))
         # bias correction makes the first step exactly -lr/(1+eps)
-        want = 5.0 - cfg.learning_rate / (1.0 + cfg.epsilon)
+        want = 5.0 - trainer.LEARNING_RATE / (1.0 + trainer.EPSILON)
         assert abs(float(t.data) - want) < 1e-15
 
     def test_moments_decay_without_gradient(self):
-        cfg = trainer.TrainConfig()
         t = T.Tensor(0.0, requires_grad=True)
         state = trainer.AdamState([t])
         t.grad = np.asarray(1.0)
-        trainer.adam_step([t], state, cfg)
+        trainer.adam_step([t], state)
         m1 = state.m[0].copy()
         t.grad = None
-        trainer.adam_step([t], state, cfg)
-        assert float(state.m[0]) == float(m1) * cfg.beta1
+        trainer.adam_step([t], state)
+        assert float(state.m[0]) == float(m1) * trainer.BETA1
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            trainer.TrainConfig(learning_rate=0.0)
         with pytest.raises(ConfigError):
             trainer.TrainConfig(steps=-1)
 
@@ -156,13 +152,19 @@ class TestTrainLoop:
         luma = rng.uniform(-1, 1, (1, 1, 8, 8))
         chroma = np.full((1, 2, 8, 8), 0.2)
         pairs = [trainer.TrainingPair(luma, chroma)]
-        cfg = trainer.TrainConfig(
-            steps=400,
-            weights=losses.LossWeights(0.0, 1.0, 0.0, 0.0),
-            d_steps_per_g_step=0,
-        )
+        cfg = trainer.TrainConfig(steps=400, weights=losses.LossWeights(0.0, 1.0, 0.0, 0.0))
         history = trainer.train(gen, disc, net_cfg, pairs, cfg)
         assert min(r.total for r in history) < 1e-3
+
+    def test_zero_adversarial_weight_leaves_discriminator(self):
+        # the discriminator is never saved, so without L_GAN it must not train
+        net_cfg, gen, disc, pairs = tiny_setup(seed=16)
+        before_g, before_d = snapshot(gen), snapshot(disc)
+        cfg = trainer.TrainConfig(steps=2, weights=losses.LossWeights(0.0, 100.0, 0.0, 0.0))
+        history = trainer.train(gen, disc, net_cfg, pairs, cfg)
+        assert stores_equal(snapshot(disc), before_d)
+        assert not stores_equal(snapshot(gen), before_g)
+        assert [r.disc for r in history] == [0.0, 0.0]
 
     def test_csv_export(self):
         net_cfg, gen, disc, pairs = tiny_setup(seed=15)
