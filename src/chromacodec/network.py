@@ -331,7 +331,8 @@ def serialize_weights(store: WeightStore, config: NetworkConfig) -> bytes:
 
 
 def deserialize_weights(blob: bytes):
-    """Inverse of serialize_weights; returns (store, config)."""
+    """Inverse of serialize_weights; returns (store, config). The tensors are
+    constants, so a forward over them records no graph."""
     r = Reader(blob, "weight file")
     if r.take(4, "magic") != _MAGIC:
         raise DataError("not a weight file: bad magic")
@@ -357,7 +358,7 @@ def deserialize_weights(blob: bytes):
         shape = r.unpack(f"<{ndim}I", f"shape of weight {name!r}")
         raw = r.take(8 * math.prod(shape), f"data for weight {name!r}")
         data = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        store._tensors[name] = T.Tensor(data, requires_grad=True)
+        store._tensors[name] = T.Tensor(data)
     r.finish("weight entries")
     found = [(name, t.shape) for name, t in store.items()]
     wanted = [(name, t.shape) for name, t in init_generator(config, 0).items()]

@@ -26,7 +26,7 @@ from .colorspace import (
     subsample,
     upsample,
 )
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError, NumericError
 
 ANCHOR = 0
 LUMA_ONLY = 1
@@ -149,6 +149,8 @@ def decode_sequence(video: CompressedVideo):
             )
             luma = T.Tensor(network.luma_to_unit(y)[None, None])
             out = network.generator_forward(store, net_config, luma).data[0]
+            if not np.isfinite(out).all():
+                raise NumericError(f"frame {i}: colorizer output is not finite")
             cb = network.unit_to_chroma(out[0])
             cr = network.unit_to_chroma(out[1])
             frames.append(Frame(Plane(y), Plane(cb), Plane(cr), SubsamplingMode.S444))

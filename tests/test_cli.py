@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from chromacodec import cli, metrics
+from chromacodec import cli, metrics, network
 from chromacodec import colorspace as cs
 
 import rd_reference as ref
@@ -121,6 +121,22 @@ class TestErrorPaths:
         carried = tmp_path / "renamed.cgv"
         carried.write_bytes(stream.read_bytes().replace(b"m1.c1.w", b"x1.c1.w"))
         assert run(["decode", "--input", carried, "--out", tmp_path / "d.yuv"]) == 3
+
+    def test_nonfinite_colorizer_output_is_numeric_error(self, raw_input, tmp_path, capsys):
+        cfg = network.NetworkConfig(width=16, height=16)
+        store = network.init_generator(cfg, seed=0)
+        store["m1.sc.w"].data[...] = 1e300  # finite, but the generator overflows
+        store["att1.gain"].data[...] = 1e300
+        weights = tmp_path / "w.cgwt"
+        weights.write_bytes(network.serialize_weights(store, cfg))
+        stream = tmp_path / "s.cgv"
+        dims = ["--input", raw_input, "--width", 16, "--height", 16]
+        assert run(["encode", *dims, "--weights", weights, "--out", stream]) == 0
+        with np.errstate(all="ignore"):
+            rc = run(["decode", "--input", stream, "--out", tmp_path / "d.yuv"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "colorizer output is not finite" in err and "Traceback" not in err
 
     # subsample byte (only 2, 4:2:0, is valid), QP byte, GOP byte
     @pytest.mark.parametrize("offset,value", [(10, 3), (11, 60), (12, 0)])

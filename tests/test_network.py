@@ -305,6 +305,14 @@ class TestWeightIO:
         out2 = net.generator_forward(store2, cfg2, T.Tensor(luma)).data
         assert np.array_equal(out1, out2)
 
+    def test_reloaded_weights_are_constants(self):
+        cfg = small_config()
+        store, cfg = net.deserialize_weights(net.serialize_weights(net.init_generator(cfg, 24), cfg))
+        assert not any(t.requires_grad for t in store.tensors())
+        luma = T.Tensor(np.zeros((1, 1, 16, 16)))
+        out = net.generator_forward(store, cfg, luma)
+        assert not out.requires_grad and out._parents == ()
+
     def test_bad_magic_rejected(self):
         with pytest.raises(DataError):
             net.deserialize_weights(b"XXXX" + b"\x00" * 32)

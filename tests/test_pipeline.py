@@ -1,13 +1,21 @@
 """GOP structure, container format, and decoder path equivalence."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from chromacodec import ConfigError, DataError
+from chromacodec import ConfigError, DataError, NumericError
 from chromacodec import codec
 from chromacodec import colorspace as cs
 from chromacodec import network, pipeline
 from chromacodec import tensor as T
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def make_sequence(n, w=16, h=16, seed=0):
@@ -210,6 +218,42 @@ class TestDecode:
         decoded = pipeline.decode_sequence(video)
         assert np.all(decoded[1].cb.samples == 128)
         assert np.all(decoded[1].cr.samples == 128)
+
+    def test_nonfinite_colorizer_output_is_numeric_error(self):
+        # finite but huge weights overflow inside the generator
+        frames = make_sequence(2, seed=14)
+        store, cfg = tiny_net(seed=14)
+        store["m1.sc.w"].data[...] = 1e300
+        store["att1.gain"].data[...] = 1e300
+        video, _ = pipeline.encode_sequence(frames, 32, pipeline.split_gops(2, 6), store, cfg)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="frame 1: colorizer"):
+            pipeline.decode_sequence(video)
+
+    def test_176x144_decode_peaks_under_85_mb(self):
+        # loaded weights are constants, so the generator keeps no graph and
+        # frees each activation after its last use (over 110 MB when it did not).
+        # VmHWM, not ru_maxrss: a spawned child's ru_maxrss starts from this
+        # process's own peak
+        code = textwrap.dedent("""
+            import numpy as np
+            from chromacodec import colorspace as cs, network, pipeline
+            cfg = network.NetworkConfig(width=176, height=144, use_attention=False)
+            rng = np.random.default_rng(0)
+            frames = [cs.rgb_to_ycbcr(rng.integers(0, 256, (144, 176, 3), dtype=np.uint8))
+                      for _ in range(2)]
+            video, _ = pipeline.encode_sequence(
+                frames, 32, pipeline.split_gops(2, 6), network.init_generator(cfg, 0), cfg
+            )
+            assert len(pipeline.decode_sequence(video)) == 2
+            with open("/proc/self/status") as fh:
+                print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) * 1024 < 85e6  # VmHWM is in KiB
 
     def test_decoded_frames_are_full_chroma(self):
         frames = make_sequence(3, seed=13)

@@ -53,6 +53,46 @@ def loop_conv_transpose2d(x, w, b, stride):
     return out
 
 
+def loop_conv_dx(g, w, x_shape, stride, padding):
+    """Reference input gradient: each output pixel scatters g·w into its input window."""
+    n, c, h, wdt = x_shape
+    co, _, k, _ = w.shape
+    dxp = np.zeros((n, c, h + 2 * padding, wdt + 2 * padding))
+    for oy in range(g.shape[2]):
+        for ox in range(g.shape[3]):
+            patch = (g[:, :, oy, ox] @ w.reshape(co, -1)).reshape(n, c, k, k)
+            dxp[:, :, oy * stride : oy * stride + k, ox * stride : ox * stride + k] += patch
+    return dxp[:, :, padding : padding + h, padding : padding + wdt]
+
+
+def loop_conv_dw(x, g, k, stride, padding):
+    """Reference weight gradient: sum over output pixels of g ⊗ input window."""
+    n, c = x.shape[:2]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dw = np.zeros((g.shape[1], c * k * k))
+    for oy in range(g.shape[2]):
+        for ox in range(g.shape[3]):
+            win = xp[:, :, oy * stride : oy * stride + k, ox * stride : ox * stride + k]
+            dw += g[:, :, oy, ox].T @ win.reshape(n, -1)
+    return dw.reshape(g.shape[1], c, k, k)
+
+
+# (Cin, Cout, k, stride, padding) of every convolution in the networks
+NETWORK_CONVS = [
+    # generator: multires blocks, residual chains, attention projections, head
+    (1, 1, 3, 1, 1), (1, 2, 3, 1, 1), (2, 5, 3, 1, 1), (1, 8, 1, 1, 0),
+    (8, 1, 3, 1, 1), (8, 2, 3, 1, 1), (16, 2, 3, 1, 1), (5, 9, 3, 1, 1),
+    (8, 8, 1, 1, 0), (8, 16, 1, 1, 0), (16, 16, 1, 1, 0), (8, 8, 3, 1, 1), (16, 16, 3, 1, 1),
+    (8, 1, 1, 1, 0), (16, 2, 1, 1, 0),
+    # generator upsampling: conv_transpose2d runs on the conv2d of these shapes
+    (16, 32, 2, 2, 0), (8, 32, 2, 2, 0), (8, 16, 2, 2, 0),
+    # discriminator (its 8→8 and 8→1 3×3 layers have generator shapes)
+    (3, 8, 4, 2, 1), (8, 8, 4, 2, 1),
+    # content-loss FeatureExtractor
+    (2, 8, 3, 2, 1), (8, 16, 3, 2, 1), (16, 32, 3, 2, 1), (32, 32, 3, 2, 1),
+]
+
+
 class TestBasics:
     def test_add_known_values(self):
         a = T.Tensor([1.0, 2.0, 3.0])
@@ -158,6 +198,20 @@ class TestConv:
             want = loop_conv2d(x, w, b, stride, padding)
             assert np.max(np.abs(got - want)) < 1e-12
 
+    # plus padding ≥ k at stride 1, where the input gradient is not a convolution
+    @pytest.mark.parametrize("cin, cout, k, stride, padding", NETWORK_CONVS + [(3, 4, 1, 1, 1)])
+    def test_kernels_match_loops(self, cin, cout, k, stride, padding):
+        rng = np.random.default_rng(cin * 1000 + cout * 10 + k)
+        x = rng.standard_normal((2, cin, 7, 6))
+        w = rng.standard_normal((cout, cin, k, k))
+        out = T._conv_fwd(x, w, stride, padding)
+        assert np.max(np.abs(out - loop_conv2d(x, w, None, stride, padding))) <= 1e-12
+        g = rng.standard_normal(out.shape)
+        dx = T._conv_dx(g, w, x.shape, stride, padding)
+        assert np.max(np.abs(dx - loop_conv_dx(g, w, x.shape, stride, padding))) <= 1e-12
+        dw = T._conv_dw(x, g, k, stride, padding)
+        assert np.max(np.abs(dw - loop_conv_dw(x, g, k, stride, padding))) <= 1e-12
+
     def test_identity_kernel(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((1, 1, 5, 5))
@@ -228,6 +282,14 @@ class TestGradients:
             lambda x, w, b: T.conv2d(x, w, b, 2, 1),
             [(2, 3, 6, 6), (4, 3, 3, 3), (4,)],
             seed=1,
+        )
+        assert err < 1e-4
+
+    def test_conv2d_same_padding(self):
+        err = T.grad_check(
+            lambda x, w, b: T.conv2d(x, w, b, 1, 1),
+            [(2, 3, 5, 6), (4, 3, 3, 3), (4,)],
+            seed=10,
         )
         assert err < 1e-4
 
