@@ -10,7 +10,7 @@ from chromacodec import tensor as T
 
 config = network.NetworkConfig(width=32, height=32, base_channels=8)
 store = network.init_generator(config, seed=0)
-print(f"generator parameters: {sum(t.data.size for t in store.tensors())}")
+print(f"generator parameters: {sum(t.size for t in store.values())} in {len(store)} tensors")
 
 # Every stage's feature size (C, H, W) from the size table: generator
 # stages P/M/A/D, discriminator stages C. Then the shape a real forward
@@ -39,10 +39,12 @@ bare = network.init_generator(bare_config, seed=0)
 print("long-skip weights present:", "rc1.glrc.w" in store,
       "| absent when disabled:", "rc1.glrc.w" not in bare)
 
-# Weights serialize to a tagged binary blob and reload byte-exactly.
+# A store is a plain dict from name to Tensor. The weight file holds only
+# the header and the values: the network the header describes names every
+# tensor, so the file carries no names or shapes, and it reloads byte-exactly.
 blob = network.serialize_weights(store, config)
 reloaded, config2 = network.deserialize_weights(blob)
-same = all(np.array_equal(store[n].data, reloaded[n].data) for n in store.names())
+same = all(np.array_equal(t.data, reloaded[n].data) for n, t in store.items())
 print(f"weight file: {len(blob)} bytes, byte-exact reload: {same}")
 
 disc = network.init_discriminator(config, seed=0)

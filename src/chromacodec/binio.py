@@ -1,7 +1,7 @@
 """Bounded reads shared by the weight file and the video container.
 
-Every way a byte string can run short or hold bad text surfaces as a
-DataError naming the container and the field being read.
+Every way a byte string can run short surfaces as a DataError naming
+the container and the field being read.
 """
 
 from __future__ import annotations
@@ -29,12 +29,6 @@ class Reader:
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-    def text(self, n: int, what: str) -> str:
-        try:
-            return self.take(n, what).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{self._container}: {what} is not UTF-8") from exc
 
     def finish(self, what: str) -> None:
         if self._pos != len(self._data):

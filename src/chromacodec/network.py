@@ -13,15 +13,15 @@ producing two chroma channels in [-1, 1] from one luma channel.
 The discriminator is five convolutions producing a sigmoid patch map at
 one eighth of the input resolution.
 
-Weights live in a name → Tensor mapping. Every tensor is initialized
-from its own seed stream derived from (seed, name), so toggling one
-component on or off never shifts the values of the others.
+Weights live in a plain dict from name to Tensor, in the order
+`_generator_tensors` lists them; a weight file holds only the header and
+the values in that order. Every tensor is initialized from its own seed
+stream derived from (seed, name), so toggling one component on or off
+never shifts the values of the others.
 """
 
 from __future__ import annotations
 
-import io
-import itertools
 import math
 import struct
 import zlib
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import tensor as T
 from .binio import Reader
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError, NumericError
 
 ATTN_KEY_DIVISOR = 8  # f and g project channels down to ceil(C/8)
 
@@ -51,8 +51,8 @@ class NetworkConfig:
             raise ConfigError(
                 f"width and height must be divisible by 8, got {self.width}×{self.height}"
             )
-        if self.base_channels < 4:
-            raise ConfigError(f"base_channels must be ≥ 4, got {self.base_channels}")
+        if self.base_channels < 6:  # the narrowest multires block splits 6 ways
+            raise ConfigError(f"base_channels must be ≥ 6, got {self.base_channels}")
 
 
 def _rng_for(seed: int, name: str) -> np.random.Generator:
@@ -61,62 +61,16 @@ def _rng_for(seed: int, name: str) -> np.random.Generator:
     )
 
 
-class WeightStore:
-    """Ordered name → Tensor mapping for one network's parameters."""
-
-    def __init__(self):
-        self._tensors: dict[str, T.Tensor] = {}
-
-    def create(self, name: str, shape, fan_in: int, seed: int) -> T.Tensor:
-        if name in self._tensors:
-            raise ConfigError(f"duplicate weight name {name!r}")
-        if fan_in > 0:
-            bound = 1.0 / np.sqrt(fan_in)
-            data = _rng_for(seed, name).uniform(-bound, bound, size=shape)
-        else:
-            data = np.zeros(shape)
-        t = T.Tensor(data, requires_grad=True)
-        self._tensors[name] = t
-        return t
-
-    def __getitem__(self, name: str) -> T.Tensor:
-        try:
-            return self._tensors[name]
-        except KeyError:
-            raise KeyError(f"weight {name!r} not found") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __len__(self) -> int:
-        return len(self._tensors)
-
-    def names(self):
-        return list(self._tensors)
-
-    def tensors(self):
-        return list(self._tensors.values())
-
-    def items(self):
-        return list(self._tensors.items())
-
-    def zero_grad(self):
-        for t in self._tensors.values():
-            t.zero_grad()
-
-
 # ---------------------------------------------------------------------------
-# weight initialization
+# tensor lists and weight initialization
 # ---------------------------------------------------------------------------
 
-def _conv_params(store, prefix, cin, cout, k, seed):
-    store.create(f"{prefix}.w", (cout, cin, k, k), cin * k * k, seed)
-    store.create(f"{prefix}.b", (cout,), 0, seed)
+def _conv_tensors(prefix, cin, cout, k):
+    return [(f"{prefix}.w", (cout, cin, k, k), cin * k * k), (f"{prefix}.b", (cout,), 0)]
 
 
-def _convt_params(store, prefix, cin, cout, k, seed):
-    store.create(f"{prefix}.w", (cin, cout, k, k), cin * k * k, seed)
-    store.create(f"{prefix}.b", (cout,), 0, seed)
+def _convt_tensors(prefix, cin, cout, k):
+    return [(f"{prefix}.w", (cin, cout, k, k), cin * k * k), (f"{prefix}.b", (cout,), 0)]
 
 
 def multires_split(out_channels: int):
@@ -128,64 +82,68 @@ def multires_split(out_channels: int):
     return c1, c2, out_channels - c1 - c2
 
 
-def _init_multires(store, prefix, cin, cout, seed):
-    c1, c2, c3 = multires_split(cout)
-    _conv_params(store, f"{prefix}.c1", cin, c1, 3, seed)
-    _conv_params(store, f"{prefix}.c2", c1, c2, 3, seed)
-    _conv_params(store, f"{prefix}.c3", c2, c3, 3, seed)
-    _conv_params(store, f"{prefix}.sc", cin, cout, 1, seed)
-
-
-def _init_rc(store, prefix, cin, cout, seed, use_glrc):
-    c = cin
-    for j in range(1, 5):
-        _conv_params(store, f"{prefix}.b{j}.f3", c, cout, 3, seed)
-        _conv_params(store, f"{prefix}.b{j}.f1", c, cout, 1, seed)
-        c = cout
-    if use_glrc:
-        _conv_params(store, f"{prefix}.glrc", cin, cout, 1, seed)
-
-
-def _init_attention(store, prefix, channels, seed):
-    key = -(-channels // ATTN_KEY_DIVISOR)
-    _conv_params(store, f"{prefix}.f", channels, key, 1, seed)
-    _conv_params(store, f"{prefix}.g", channels, key, 1, seed)
-    _conv_params(store, f"{prefix}.h", channels, channels, 1, seed)
-    store.create(f"{prefix}.gain", (), 0, seed)  # starts at 0: pure pass-through
-
-
 def _level_channels(c: int):
     # encoder output channels per level, shallow to deep
     return (c, c, 2 * c, 2 * c)
 
 
-def init_generator(config: NetworkConfig, seed: int) -> WeightStore:
-    store = WeightStore()
+def _generator_tensors(config: NetworkConfig):
+    """(name, shape, fan_in) of every generator tensor, in weight-file order."""
     c = config.base_channels
-    chans = _level_channels(c)
+    out = []
     cin = 1
-    for i, cout in enumerate(chans, start=1):
-        _init_multires(store, f"m{i}", cin, cout, seed)
-        _init_rc(store, f"rc{i}", cout, cout, seed, config.use_glrc)
+    for i, cout in enumerate(_level_channels(c), start=1):
+        c1, c2, c3 = multires_split(cout)
+        out += _conv_tensors(f"m{i}.c1", cin, c1, 3)
+        out += _conv_tensors(f"m{i}.c2", c1, c2, 3)
+        out += _conv_tensors(f"m{i}.c3", c2, c3, 3)
+        out += _conv_tensors(f"m{i}.sc", cin, cout, 1)
+        for j in range(1, 5):
+            out += _conv_tensors(f"rc{i}.b{j}.f3", cout, cout, 3)
+            out += _conv_tensors(f"rc{i}.b{j}.f1", cout, cout, 1)
+        if config.use_glrc:
+            out += _conv_tensors(f"rc{i}.glrc", cout, cout, 1)
         if config.use_attention:
-            _init_attention(store, f"att{i}", cout, seed)
+            key = -(-cout // ATTN_KEY_DIVISOR)
+            out += _conv_tensors(f"att{i}.f", cout, key, 1)
+            out += _conv_tensors(f"att{i}.g", cout, key, 1)
+            out += _conv_tensors(f"att{i}.h", cout, cout, 1)
+            out.append((f"att{i}.gain", (), 0))  # starts at 0: pure pass-through
         cin = cout
-    _convt_params(store, "up1", 4 * c, 2 * c, 2, seed)
-    _convt_params(store, "up2", 4 * c, c, 2, seed)
-    _convt_params(store, "up3", 2 * c, c, 2, seed)
-    _conv_params(store, "head", 2 * c, 2, 1, seed)
+    out += _convt_tensors("up1", 4 * c, 2 * c, 2)
+    out += _convt_tensors("up2", 4 * c, c, 2)
+    out += _convt_tensors("up3", 2 * c, c, 2)
+    out += _conv_tensors("head", 2 * c, 2, 1)
+    return out
+
+
+def _init(tensors, seed: int) -> dict[str, T.Tensor]:
+    """Uniform ±1/√fan_in per tensor from its own (seed, name) stream; zeros at fan_in 0."""
+    store = {}
+    for name, shape, fan_in in tensors:
+        if fan_in > 0:
+            bound = 1.0 / np.sqrt(fan_in)
+            data = _rng_for(seed, name).uniform(-bound, bound, size=shape)
+        else:
+            data = np.zeros(shape)
+        store[name] = T.Tensor(data, requires_grad=True)
     return store
 
 
-def init_discriminator(config: NetworkConfig, seed: int) -> WeightStore:
-    store = WeightStore()
+def init_generator(config: NetworkConfig, seed: int) -> dict[str, T.Tensor]:
+    return _init(_generator_tensors(config), seed)
+
+
+def init_discriminator(config: NetworkConfig, seed: int) -> dict[str, T.Tensor]:
     c = config.base_channels
-    _conv_params(store, "c1", 3, c, 4, seed)
-    _conv_params(store, "c2", c, c, 4, seed)
-    _conv_params(store, "c3", c, c, 4, seed)
-    _conv_params(store, "c4", c, c, 3, seed)
-    _conv_params(store, "c5", c, 1, 3, seed)
-    return store
+    return _init(
+        _conv_tensors("c1", 3, c, 4)
+        + _conv_tensors("c2", c, c, 4)
+        + _conv_tensors("c3", c, c, 4)
+        + _conv_tensors("c4", c, c, 3)
+        + _conv_tensors("c5", c, 1, 3),
+        seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +154,14 @@ def _conv(store, prefix, x, stride=1, padding=0):
     return T.conv2d(x, store[f"{prefix}.w"], store[f"{prefix}.b"], stride, padding)
 
 
-def multires_block(store: WeightStore, prefix: str, x: T.Tensor) -> T.Tensor:
+def multires_block(store: dict[str, T.Tensor], prefix: str, x: T.Tensor) -> T.Tensor:
     a = T.relu(_conv(store, f"{prefix}.c1", x, 1, 1))
     b = T.relu(_conv(store, f"{prefix}.c2", a, 1, 1))
     cc = T.relu(_conv(store, f"{prefix}.c3", b, 1, 1))
     return T.concat([a, b, cc], axis=1) + _conv(store, f"{prefix}.sc", x)
 
 
-def optimized_rc(store: WeightStore, prefix: str, x: T.Tensor, use_glrc: bool) -> T.Tensor:
+def optimized_rc(store: dict[str, T.Tensor], prefix: str, x: T.Tensor, use_glrc: bool) -> T.Tensor:
     """Four chained conv3+conv1 residual blocks, plus a long 1×1 shortcut."""
     r = x
     for j in range(1, 5):
@@ -213,7 +171,7 @@ def optimized_rc(store: WeightStore, prefix: str, x: T.Tensor, use_glrc: bool) -
     return r
 
 
-def self_attention(store: WeightStore, prefix: str, x: T.Tensor) -> T.Tensor:
+def self_attention(store: dict[str, T.Tensor], prefix: str, x: T.Tensor) -> T.Tensor:
     """Non-local mixing over all spatial positions, gated by a learned gain."""
     n, c, h, w = x.shape
     f, g, hh = (
@@ -230,7 +188,7 @@ def _skip(store, config, level, x):
     return out
 
 
-def generator_forward(store: WeightStore, config: NetworkConfig, luma: T.Tensor) -> T.Tensor:
+def generator_forward(store: dict[str, T.Tensor], config: NetworkConfig, luma: T.Tensor) -> T.Tensor:
     """Map 1×1×H×W luma in [-1, 1] to 1×2×H×W chroma in [-1, 1]."""
     if luma.data.ndim != 4 or luma.shape[1] != 1:
         raise DimensionError(f"generator input must be N×1×H×W, got {luma.shape}")
@@ -273,7 +231,7 @@ def generator_level_shapes(config: NetworkConfig):
     return shapes
 
 
-def discriminator_forward(store: WeightStore, image: T.Tensor) -> T.Tensor:
+def discriminator_forward(store: dict[str, T.Tensor], image: T.Tensor) -> T.Tensor:
     """Map N×3×H×W to an N×1×H/8×W/8 patch map in (0, 1)."""
     if image.data.ndim != 4 or image.shape[1] != 3:
         raise DimensionError(f"discriminator input must be N×3×H×W, got {image.shape}")
@@ -308,26 +266,20 @@ def unit_to_chroma(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"CGWT"
-_VERSION = 1
+_VERSION = 2
+_HEADER = "<HIIIH"  # version, width, height, base channels, flags
 
 
-def serialize_weights(store: WeightStore, config: NetworkConfig) -> bytes:
-    """Versioned binary weight blob; integers and floats little-endian."""
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
+def serialize_weights(store: dict[str, T.Tensor], config: NetworkConfig) -> bytes:
+    """Magic, header, then every generator tensor's float64 values in the
+    order `_generator_tensors` lists them; all little-endian."""
     flags = (1 if config.use_attention else 0) | (2 if config.use_glrc else 0)
-    buf.write(struct.pack("<HIIIH", _VERSION, config.width, config.height,
-                          config.base_channels, flags))
-    buf.write(struct.pack("<I", len(store)))
-    for name, t in store.items():
-        raw = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(raw)))
-        buf.write(raw)
-        buf.write(struct.pack("<B", t.data.ndim))
-        for d in t.data.shape:
-            buf.write(struct.pack("<I", d))
-        buf.write(t.data.astype("<f8").tobytes())
-    return buf.getvalue()
+    header = _MAGIC + struct.pack(
+        _HEADER, _VERSION, config.width, config.height, config.base_channels, flags
+    )
+    return header + b"".join(
+        store[name].data.astype("<f8").tobytes() for name, _, _ in _generator_tensors(config)
+    )
 
 
 def deserialize_weights(blob: bytes):
@@ -336,7 +288,7 @@ def deserialize_weights(blob: bytes):
     r = Reader(blob, "weight file")
     if r.take(4, "magic") != _MAGIC:
         raise DataError("not a weight file: bad magic")
-    version, width, height, channels, flags = r.unpack("<HIIIH", "header")
+    version, width, height, channels, flags = r.unpack(_HEADER, "header")
     if version != _VERSION:
         raise DataError(f"unsupported weight file version {version}")
     try:
@@ -349,22 +301,14 @@ def deserialize_weights(blob: bytes):
         )
     except ConfigError as exc:
         raise DataError(f"bad weight file header: {exc}") from exc
-    (count,) = r.unpack("<I", "weight count")
-    store = WeightStore()
-    for i in range(count):
-        (nlen,) = r.unpack("<H", f"weight {i} name length")
-        name = r.text(nlen, f"weight {i} name")
-        (ndim,) = r.unpack("<B", f"rank of weight {name!r}")
-        shape = r.unpack(f"<{ndim}I", f"shape of weight {name!r}")
-        raw = r.take(8 * math.prod(shape), f"data for weight {name!r}")
-        data = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        store._tensors[name] = T.Tensor(data)
-    r.finish("weight entries")
-    found = [(name, t.shape) for name, t in store.items()]
-    wanted = [(name, t.shape) for name, t in init_generator(config, 0).items()]
-    for i, (got, want) in enumerate(itertools.zip_longest(found, wanted)):
-        if got != want:
-            raise DataError(
-                f"weight entry {i} is {got}, the network in the header needs {want}"
-            )
+    tensors = _generator_tensors(config)
+    sizes = [math.prod(shape) for _, shape, _ in tensors]
+    values = np.frombuffer(r.take(8 * sum(sizes), "weight values"), dtype="<f8")
+    r.finish("weight values")
+    store = {}
+    for (name, shape, _), flat in zip(tensors, np.split(values, np.cumsum(sizes)[:-1])):
+        try:
+            store[name] = T.Tensor(flat.reshape(shape))
+        except NumericError as exc:
+            raise DataError(f"weight file: weight {name!r} is not finite") from exc
     return store, config

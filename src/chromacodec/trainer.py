@@ -134,8 +134,8 @@ def _images(luma_t, chroma_t):
 
 
 def train(
-    gen_store: network.WeightStore,
-    disc_store: network.WeightStore,
+    gen_store: dict[str, T.Tensor],
+    disc_store: dict[str, T.Tensor],
     net_config: network.NetworkConfig,
     pairs,
     config: TrainConfig,
@@ -152,8 +152,8 @@ def train(
     w = config.weights
     extractor = losses.FeatureExtractor(2, seed=config.seed) if w.content > 0 else None
 
-    gen_params = gen_store.tensors()
-    disc_params = disc_store.tensors()
+    gen_params = list(gen_store.values())
+    disc_params = list(disc_store.values())
     gen_state = AdamState(gen_params)
     disc_state = AdamState(disc_params)
 
@@ -174,7 +174,8 @@ def train(
                 network.discriminator_forward(disc_store, _images(luma_t, gen_out.detach())),
             )
             d_loss_val = _check_finite(d_loss.item(), "discriminator loss", step)
-            disc_store.zero_grad()
+            for t in disc_params:
+                t.zero_grad()
             T.backward(d_loss)
             adam_step(disc_params, disc_state)
 
@@ -188,7 +189,8 @@ def train(
 
         total, _ = losses.mixed_loss(w, gan_term, mse_term, content_term, color_term)
         _check_finite(total.item(), "generator loss", step)
-        gen_store.zero_grad()
+        for t in gen_params:
+            t.zero_grad()
         T.backward(total)
         adam_step(gen_params, gen_state)
 

@@ -1,6 +1,7 @@
 """End-to-end command tests driven through cli.main."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -81,6 +82,7 @@ class TestErrorPaths:
             ("encode", ["--qp", 52]),
             ("encode", ["--gop", 0]),
             ("encode", ["--fps", 0]),
+            ("train", ["--channels", 5]),
         ],
     )
     def test_out_of_range_setting_is_usage_error(self, raw_input, tmp_path, command, flags):
@@ -109,18 +111,49 @@ class TestErrorPaths:
         assert rc == 2
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_weight_names_not_matching_header_are_data_errors(self, raw_input, tmp_path):
+    def _trained_weights(self, raw_input, tmp_path):
         weights = tmp_path / "w.cgwt"
+        assert run(["train", "--input", raw_input, "--width", 16, "--height", 16,
+                    "--steps", 0, "--out", weights]) == 0
+        return weights
+
+    def _encode(self, raw_input, tmp_path, weights):
+        return run(["encode", "--input", raw_input, "--width", 16, "--height", 16,
+                    "--weights", weights, "--out", tmp_path / "s.cgv"])
+
+    def test_too_few_channels_in_weight_header_is_data_error(self, raw_input, tmp_path, capsys):
+        weights = self._trained_weights(raw_input, tmp_path)
+        blob = bytearray(weights.read_bytes())
+        blob[14:18] = struct.pack("<I", 4)  # after magic, version, width, height
+        weights.write_bytes(bytes(blob))
+        assert self._encode(raw_input, tmp_path, weights) == 3
+        err = capsys.readouterr().err
+        assert "base_channels" in err and "Traceback" not in err
+
+    def test_version_1_weight_file_is_data_error(self, raw_input, tmp_path, capsys):
+        weights = self._trained_weights(raw_input, tmp_path)
+        blob = weights.read_bytes()
+        weights.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
+        assert self._encode(raw_input, tmp_path, weights) == 3
+        assert "unsupported weight file version 1" in capsys.readouterr().err
+
+    def test_nonfinite_stored_weight_is_data_error(self, raw_input, tmp_path, capsys):
+        weights = self._trained_weights(raw_input, tmp_path)
+        weights.write_bytes(weights.read_bytes()[:-8] + struct.pack("<d", float("nan")))
+        assert self._encode(raw_input, tmp_path, weights) == 3
+        err = capsys.readouterr().err
+        assert "weight file" in err and "Traceback" not in err
+
+    def test_unknown_record_type_is_data_error(self, raw_input, tmp_path, capsys):
+        weights = self._trained_weights(raw_input, tmp_path)
+        assert self._encode(raw_input, tmp_path, weights) == 0
         stream = tmp_path / "s.cgv"
-        dims = ["--input", raw_input, "--width", 16, "--height", 16]
-        assert run(["train", *dims, "--steps", 0, "--out", weights]) == 0
-        assert run(["encode", *dims, "--weights", weights, "--out", stream]) == 0
-        renamed = tmp_path / "renamed.cgwt"
-        renamed.write_bytes(weights.read_bytes().replace(b"m1.c1.w", b"x1.c1.w"))
-        assert run(["encode", *dims, "--weights", renamed, "--out", tmp_path / "r.cgv"]) == 3
-        carried = tmp_path / "renamed.cgv"
-        carried.write_bytes(stream.read_bytes().replace(b"m1.c1.w", b"x1.c1.w"))
-        assert run(["decode", "--input", carried, "--out", tmp_path / "d.yuv"]) == 3
+        blob = bytearray(stream.read_bytes())
+        blob[21 + len(weights.read_bytes())] = 2  # magic, header, weights: first record byte
+        stream.write_bytes(bytes(blob))
+        assert run(["decode", "--input", stream, "--out", tmp_path / "d.yuv"]) == 3
+        err = capsys.readouterr().err
+        assert "record type 2" in err and "Traceback" not in err
 
     def test_nonfinite_colorizer_output_is_numeric_error(self, raw_input, tmp_path, capsys):
         cfg = network.NetworkConfig(width=16, height=16)
@@ -132,8 +165,7 @@ class TestErrorPaths:
         stream = tmp_path / "s.cgv"
         dims = ["--input", raw_input, "--width", 16, "--height", 16]
         assert run(["encode", *dims, "--weights", weights, "--out", stream]) == 0
-        with np.errstate(all="ignore"):
-            rc = run(["decode", "--input", stream, "--out", tmp_path / "d.yuv"])
+        rc = run(["decode", "--input", stream, "--out", tmp_path / "d.yuv"])
         assert rc == 4
         err = capsys.readouterr().err
         assert "colorizer output is not finite" in err and "Traceback" not in err

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ def tiny_net(w=16, h=16, seed=0, zero=False):
     cfg = network.NetworkConfig(width=w, height=h, base_channels=8)
     store = network.init_generator(cfg, seed)
     if zero:
-        for t in store.tensors():
+        for t in store.values():
             t.data[...] = 0.0
     return store, cfg
 
@@ -149,6 +150,15 @@ class TestContainer:
         with pytest.raises(DataError, match="header"):
             pipeline.deserialize_video(bytes(blob))
 
+    def test_unknown_record_type_rejected(self):
+        frames = make_sequence(2, seed=15)
+        store, cfg = tiny_net(seed=15)
+        video, _ = pipeline.encode_sequence(frames, 32, pipeline.split_gops(2, 6), store, cfg)
+        blob = bytearray(pipeline.serialize_video(video))
+        blob[21 + len(video.weight_blob)] = 2  # magic, header, weights: first record byte
+        with pytest.raises(DataError, match="frame 0: unknown record type 2"):
+            pipeline.deserialize_video(bytes(blob))
+
     def test_trailing_bytes_rejected(self):
         frames = make_sequence(1, seed=8)
         store, cfg = tiny_net(seed=8)
@@ -228,6 +238,18 @@ class TestDecode:
         video, _ = pipeline.encode_sequence(frames, 32, pipeline.split_gops(2, 6), store, cfg)
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="frame 1: colorizer"):
             pipeline.decode_sequence(video)
+
+    def test_overflowing_colorizer_warns_nothing(self):
+        # the finiteness check reports the failure; numpy stays silent before it
+        frames = make_sequence(2, seed=14)
+        store, cfg = tiny_net(seed=14)
+        store["m1.sc.w"].data[...] = 1e300
+        store["att1.gain"].data[...] = 1e300
+        video, _ = pipeline.encode_sequence(frames, 32, pipeline.split_gops(2, 6), store, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="frame 1: colorizer"):
+                pipeline.decode_sequence(video)
 
     def test_176x144_decode_peaks_under_85_mb(self):
         # loaded weights are constants, so the generator keeps no graph and
