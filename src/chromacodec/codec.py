@@ -64,11 +64,12 @@ _DCT = _dct_matrix()
 
 
 def dct8(block: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D type-II DCT of one 8×8 block."""
+    """Orthonormal 2-D type-II DCT of an 8×8 block or a stack of them."""
     return _DCT @ np.asarray(block, dtype=np.float64) @ _DCT.T
 
 
 def idct8(coef: np.ndarray) -> np.ndarray:
+    """Inverse of dct8, for an 8×8 block or a stack of them."""
     return _DCT.T @ np.asarray(coef, dtype=np.float64) @ _DCT
 
 
@@ -87,52 +88,41 @@ _ZZ_ROWS = np.array([i for i, _ in _ZIGZAG])
 _ZZ_COLS = np.array([j for _, j in _ZIGZAG])
 
 _EOB = 64  # runs occupy [0, 63], so 64 is free to mark end-of-block
+_EOB_BITS = 2 * (_EOB + 1).bit_length() - 1  # every coded block ends in these 13 bits
 
 
 class BitWriter:
-    """MSB-first big-endian bit packer."""
+    """MSB-first bit packer: codewords are kept as '0'/'1' strings."""
 
     def __init__(self):
-        self._chunks = []
-        self._acc = 0
-        self._nbits = 0
+        self._words = []
 
     def write(self, value: int, width: int):
-        if width and not 0 <= value < (1 << width):
+        if not 0 <= value < (1 << width):
             raise DataError(f"value {value} does not fit in {width} bits")
-        self._acc = (self._acc << width) | value
-        self._nbits += width
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self._chunks.append((self._acc >> self._nbits) & 0xFF)
-        self._acc &= (1 << self._nbits) - 1
+        self._words.append(bin(value | 1 << width)[3:])  # the marker 1 keeps leading zeros
 
     def payload(self) -> PlanePayload:
-        bits = len(self._chunks) * 8 + self._nbits
-        out = bytes(self._chunks)
-        if self._nbits:
-            out += bytes([(self._acc << (8 - self._nbits)) & 0xFF])
-        return PlanePayload(out, bits)
+        bits = "".join(self._words)
+        padded = "1" + bits + "0" * (-len(bits) % 8)  # the leading 1 fills a byte of its own
+        data = int(padded, 2).to_bytes(len(padded) // 8 + 1, "big")[1:]
+        return PlanePayload(data, len(bits))
 
 
 class BitReader:
-    """Reads back what BitWriter wrote, in order."""
+    """Reads back what BitWriter wrote, in order, never past its bytes."""
 
     def __init__(self, data: bytes, bit_length=None):
-        self._data = data
+        self._bits = bin(int.from_bytes(b"\x01" + data, "big"))[3:]
         self._pos = 0
-        self._limit = len(data) * 8 if bit_length is None else bit_length
+        self._limit = len(self._bits) if bit_length is None else min(bit_length, len(self._bits))
 
     def read(self, width: int) -> int:
-        if self._pos + width > self._limit:
+        end = self._pos + width
+        if end > self._limit:
             raise DataError("bit stream exhausted")
-        value = 0
-        pos = self._pos
-        for _ in range(width):
-            byte = self._data[pos >> 3]
-            value = (value << 1) | ((byte >> (7 - (pos & 7))) & 1)
-            pos += 1
-        self._pos = pos
+        value = int(self._bits[self._pos : end] or "0", 2)
+        self._pos = end
         return value
 
 
@@ -141,19 +131,19 @@ def exp_golomb_write(writer: BitWriter, value: int):
     if value < 0:
         raise DataError(f"exp-Golomb codes unsigned values, got {value}")
     n = value + 1
-    width = n.bit_length()
-    writer.write(0, width - 1)
-    writer.write(n, width)
+    writer.write(n, 2 * n.bit_length() - 1)
 
 
 def exp_golomb_read(reader: BitReader) -> int:
-    zeros = 0
-    while reader.read(1) == 0:
-        zeros += 1
-        if zeros > 64:
+    """H.264 ue(v): count the leading zeros, then read that many bits past the 1."""
+    pos = reader._pos
+    one = reader._bits.find("1", pos, min(pos + 65, reader._limit))
+    if one < 0:
+        if pos + 65 <= reader._limit:
             raise DataError("exp-Golomb prefix too long: corrupt stream")
-    rest = reader.read(zeros) if zeros else 0
-    return (1 << zeros) + rest - 1
+        raise DataError("bit stream exhausted")
+    reader._pos = one
+    return reader.read(one - pos + 1) - 1
 
 
 def _signed_to_code(z: int) -> int:
@@ -196,8 +186,7 @@ def encode_plane(plane: np.ndarray, params: CodecParams) -> PlanePayload:
     if arr.ndim != 2 or arr.size == 0:
         raise DataError(f"encode_plane needs a non-empty 2-D plane, got shape {arr.shape}")
     padded = _pad_to_blocks(arr.astype(np.float64) - 128.0)
-    blocks = _to_blocks(padded)
-    coefs = np.einsum("ik,nkl,jl->nij", _DCT, blocks, _DCT, optimize=True)
+    coefs = dct8(_to_blocks(padded))
     step = params.step
     # round half away from zero so the quantizer is symmetric in sign
     q = np.sign(coefs) * np.floor(np.abs(coefs) / step + 0.5)
@@ -223,6 +212,8 @@ def decode_plane(payload: PlanePayload, dims, params: CodecParams) -> np.ndarray
     ph = height + (-height) % BLOCK
     pw = width + (-width) % BLOCK
     nblocks = (ph // BLOCK) * (pw // BLOCK)
+    if _EOB_BITS * nblocks > payload.bit_length:  # checked before allocating for the blocks
+        raise DataError(f"{payload.bit_length} bits cannot hold {nblocks} coded blocks")
 
     reader = BitReader(payload.data, payload.bit_length)
     scans = np.zeros((nblocks, BLOCK * BLOCK), dtype=np.float64)
@@ -243,7 +234,6 @@ def decode_plane(payload: PlanePayload, dims, params: CodecParams) -> np.ndarray
 
     coefs = np.zeros((nblocks, BLOCK, BLOCK))
     coefs[:, _ZZ_ROWS, _ZZ_COLS] = scans * params.step
-    blocks = np.einsum("ki,nkl,lj->nij", _DCT, coefs, _DCT, optimize=True)
-    padded = _from_blocks(blocks, ph, pw) + 128.0
+    padded = _from_blocks(idct8(coefs), ph, pw) + 128.0
     pixels = np.clip(np.floor(padded + 0.5), 0, 255).astype(np.uint8)
     return pixels[:height, :width]

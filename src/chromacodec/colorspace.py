@@ -212,12 +212,7 @@ def raw_volume(frames) -> int:
     """Total stored-sample count of a frame or a sequence of frames."""
     if isinstance(frames, Frame):
         frames = [frames]
-    total = 0
-    for f in frames:
-        total += f.y.samples.size
-        if f.cb is not None:
-            total += f.cb.samples.size + f.cr.samples.size
-    return total
+    return sum(mode_volume(f.y.width, f.y.height, f.mode) for f in frames)
 
 
 def mode_volume(width: int, height: int, mode: SubsamplingMode) -> int:
@@ -253,8 +248,10 @@ def frames_from_bytes(data: bytes, width: int, height: int, mode: SubsamplingMod
     """Parse a headerless planar byte stream into frames; dims come from the caller."""
     if mode not in _FILE_MODES:
         raise ConfigError(f"raw byte streams support 444/420/400, not {mode.value}")
+    if width < 1 or height < 1:
+        raise ConfigError(f"raw frame dims must be positive, got {width}×{height}")
     per = mode_volume(width, height, mode)
-    if per == 0 or len(data) % per:
+    if len(data) % per:
         raise DataError(
             f"stream length {len(data)} is not a multiple of frame size {per}"
         )

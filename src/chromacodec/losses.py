@@ -64,19 +64,6 @@ def mse_loss(gen: T.Tensor, target: T.Tensor) -> T.Tensor:
     return T.mean(T.square(gen - target))
 
 
-@dataclass(frozen=True)
-class GaussianKernel:
-    """Unnormalized Gaussian tap grid; amplitude is the center value."""
-
-    values: np.ndarray
-    theta: float
-    sigma: float
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-
 def _require_positive(**values):
     for name, v in values.items():
         if not v > 0:
@@ -93,11 +80,11 @@ def _gaussian_taps(sigma: float = 3.0, size: int = 21) -> np.ndarray:
     return np.exp(-(k * k) / (2.0 * sigma))
 
 
-def gaussian_kernel(theta: float, sigma: float = 3.0, size: int = 21) -> GaussianKernel:
-    """G(k,l) = theta * exp(-k^2/(2*sigma) - l^2/(2*sigma)), centered."""
+def gaussian_kernel(theta: float, sigma: float = 3.0, size: int = 21) -> np.ndarray:
+    """Unnormalized tap grid theta * exp(-k^2/(2*sigma) - l^2/(2*sigma)); its center is theta."""
     _require_positive(theta=theta)
     one_d = _gaussian_taps(sigma, size)
-    return GaussianKernel(theta * np.outer(one_d, one_d), float(theta), float(sigma))
+    return theta * np.outer(one_d, one_d)
 
 
 def color_loss(

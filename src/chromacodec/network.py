@@ -22,6 +22,8 @@ never shifts the values of the others.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import struct
 import zlib
@@ -87,7 +89,8 @@ def _level_channels(c: int):
     return (c, c, 2 * c, 2 * c)
 
 
-def _generator_tensors(config: NetworkConfig):
+@functools.lru_cache(maxsize=16)  # bounded: weight file headers can name any geometry
+def _generator_tensors(config: NetworkConfig) -> tuple:
     """(name, shape, fan_in) of every generator tensor, in weight-file order."""
     c = config.base_channels
     out = []
@@ -114,7 +117,13 @@ def _generator_tensors(config: NetworkConfig):
     out += _convt_tensors("up2", 4 * c, c, 2)
     out += _convt_tensors("up3", 2 * c, c, 2)
     out += _conv_tensors("head", 2 * c, 2, 1)
-    return out
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=16)
+def _value_offsets(config: NetworkConfig) -> tuple:
+    """Where each generator tensor's values end, counted in float64 values."""
+    return tuple(itertools.accumulate(math.prod(s) for _, s, _ in _generator_tensors(config)))
 
 
 def _init(tensors, seed: int) -> dict[str, T.Tensor]:
@@ -291,6 +300,8 @@ def deserialize_weights(blob: bytes):
     version, width, height, channels, flags = r.unpack(_HEADER, "header")
     if version != _VERSION:
         raise DataError(f"unsupported weight file version {version}")
+    if flags & ~3:
+        raise DataError(f"unknown weight file flag bits {flags:#06x}")
     try:
         config = NetworkConfig(
             width=width,
@@ -301,12 +312,11 @@ def deserialize_weights(blob: bytes):
         )
     except ConfigError as exc:
         raise DataError(f"bad weight file header: {exc}") from exc
-    tensors = _generator_tensors(config)
-    sizes = [math.prod(shape) for _, shape, _ in tensors]
-    values = np.frombuffer(r.take(8 * sum(sizes), "weight values"), dtype="<f8")
+    ends = _value_offsets(config)
+    values = np.frombuffer(r.take(8 * ends[-1], "weight values"), dtype="<f8")
     r.finish("weight values")
     store = {}
-    for (name, shape, _), flat in zip(tensors, np.split(values, np.cumsum(sizes)[:-1])):
+    for (name, shape, _), flat in zip(_generator_tensors(config), np.split(values, ends[:-1])):
         try:
             store[name] = T.Tensor(flat.reshape(shape))
         except NumericError as exc:

@@ -1,7 +1,12 @@
 """End-to-end command tests driven through cli.main."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,8 @@ from chromacodec import cli, metrics, network
 from chromacodec import colorspace as cs
 
 import rd_reference as ref
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def synthetic_frames(n=6, size=16):
@@ -63,6 +70,17 @@ class TestErrorPaths:
              "--out", tmp_path / "w.cgwt"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("width,height", [(-8, -8), (-8, 8)])
+    def test_non_positive_raw_dims_are_usage_error(
+        self, raw_input, tmp_path, capsys, width, height
+    ):
+        dims = ["--width", width, "--height", height]
+        assert run(["train", "--input", raw_input, *dims, "--steps", 0,
+                    "--out", tmp_path / "w.cgwt"]) == 2
+        assert run(["eval", "--ref", raw_input, "--test", raw_input, *dims]) == 2
+        err = capsys.readouterr().err
+        assert "dims must be positive" in err and "Traceback" not in err
 
     def test_eval_frame_count_mismatch(self, raw_input, tmp_path):
         short = tmp_path / "short.yuv"
@@ -130,6 +148,15 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "base_channels" in err and "Traceback" not in err
 
+    def test_unknown_weight_flag_bits_are_data_error(self, raw_input, tmp_path, capsys):
+        weights = self._trained_weights(raw_input, tmp_path)
+        blob = bytearray(weights.read_bytes())
+        blob[18:20] = b"\xff\xff"  # the flag word, after magic and the first four fields
+        weights.write_bytes(bytes(blob))
+        assert self._encode(raw_input, tmp_path, weights) == 3
+        err = capsys.readouterr().err
+        assert "unknown weight file flag bits" in err and "Traceback" not in err
+
     def test_version_1_weight_file_is_data_error(self, raw_input, tmp_path, capsys):
         weights = self._trained_weights(raw_input, tmp_path)
         blob = weights.read_bytes()
@@ -185,6 +212,29 @@ class TestErrorPaths:
         stream.write_bytes(bytes(blob))
         assert run(["decode", "--input", stream, "--out", tmp_path / "d.yuv"]) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_huge_declared_frame_dims_are_data_error(self, raw_input, tmp_path):
+        # 65535×65535 would need 32 GiB of coefficients for the first plane;
+        # under the address-space cap such an allocation would be a traceback
+        weights = self._trained_weights(raw_input, tmp_path)
+        assert self._encode(raw_input, tmp_path, weights) == 0
+        stream = tmp_path / "s.cgv"
+        blob = bytearray(stream.read_bytes())
+        blob[6:10] = struct.pack("<HH", 65535, 65535)  # width, height after magic, version
+        stream.write_bytes(bytes(blob))
+        code = textwrap.dedent(f"""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+            from chromacodec import cli
+            sys.exit(cli.main(["decode", "--input", {str(stream)!r},
+                               "--out", {str(tmp_path / "d.yuv")!r}]))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "cannot hold" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_multi_frame_to_single_ppm(self, raw_input, tmp_path):
         weights = tmp_path / "w.cgwt"

@@ -1,10 +1,20 @@
 """Intra codec checks: transform oracle, entropy stage, rate/distortion laws."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromacodec import ConfigError, DataError
 from chromacodec import codec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def direct_dct8(block):
@@ -36,6 +46,12 @@ def golomb_bits(value):
     )
 
 
+def golomb_codeword(value):
+    """Order-0 exp-Golomb from its definition: k zeros, then value + 1 in k + 1 bits."""
+    n = value + 1
+    return "0" * (n.bit_length() - 1) + format(n, "b")
+
+
 class TestTransform:
     def test_matches_direct_definition(self):
         rng = np.random.default_rng(20)
@@ -52,6 +68,14 @@ class TestTransform:
         rng = np.random.default_rng(21)
         block = rng.uniform(-128, 128, size=(8, 8))
         assert np.max(np.abs(codec.idct8(codec.dct8(block)) - block)) < 1e-10
+
+    def test_block_stack_matches_direct_definition(self):
+        rng = np.random.default_rng(29)
+        stack = rng.uniform(-128, 128, size=(3, 8, 8))
+        coefs = codec.dct8(stack)
+        for block, coef in zip(stack, coefs):
+            assert np.max(np.abs(coef - direct_dct8(block))) < 1e-10
+        assert np.max(np.abs(codec.idct8(coefs) - stack)) < 1e-10
 
     def test_parseval(self):
         rng = np.random.default_rng(22)
@@ -99,6 +123,53 @@ class TestEntropy:
         codec.exp_golomb_read(r)
         with pytest.raises(DataError):
             r.read(1)
+
+    def test_zero_width_write_rejects_nonzero_value(self):
+        w = codec.BitWriter()
+        w.write(1, 3)
+        with pytest.raises(DataError):
+            w.write(6, 0)
+        w.write(0, 0)
+        assert w.payload() == codec.PlanePayload(b"\x20", 3)
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 2**62 - 1), max_size=200))
+    def test_round_trip_property(self, values):
+        w = codec.BitWriter()
+        for v in values:
+            codec.exp_golomb_write(w, v)
+        p = w.payload()
+        r = codec.BitReader(p.data, p.bit_length)
+        assert [codec.exp_golomb_read(r) for _ in values] == values
+        with pytest.raises(DataError):
+            codec.exp_golomb_read(r)
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 2**62 - 1), max_size=50))
+    def test_payload_bits_are_the_codewords(self, values):
+        w = codec.BitWriter()
+        for v in values:
+            codec.exp_golomb_write(w, v)
+        p = w.payload()
+        want = "".join(golomb_codeword(v) for v in values)
+        bits = "".join(format(b, "08b") for b in p.data)
+        assert p.bit_length == len(want)
+        assert bits == want + "0" * (-len(want) % 8)
+        r = codec.BitReader(p.data, p.bit_length)
+        r.read(len(want))
+        with pytest.raises(DataError):
+            r.read(1)
+
+    @given(st.data(), st.integers(0, 80))
+    def test_write_rejects_values_outside_width(self, data, width):
+        value = data.draw(
+            st.one_of(st.integers(max_value=-1), st.integers(min_value=1 << width))
+        )
+        w = codec.BitWriter()
+        with pytest.raises(DataError):
+            w.write(value, width)
+        w.write(data.draw(st.integers(0, (1 << width) - 1)), width)
+        assert w.payload().bit_length == width
 
     def test_signed_mapping(self):
         pairs = [(1, 1), (-1, 2), (2, 3), (-2, 4), (3, 5)]
@@ -171,6 +242,47 @@ class TestPlaneCodec:
     def test_empty_plane_rejected(self):
         with pytest.raises(DataError):
             codec.encode_plane(np.zeros((0, 8), dtype=np.uint8), codec.CodecParams(qp=27))
+
+    def test_declared_blocks_need_their_eob_bits(self):
+        # a constant plane is one 13-bit EOB per block, exactly the bound
+        params = codec.CodecParams(qp=27)
+        payload = codec.encode_plane(np.full((16, 16), 128, dtype=np.uint8), params)
+        assert payload.bit_length == 4 * 13
+        assert codec.decode_plane(payload, (16, 16), params).shape == (16, 16)
+        with pytest.raises(DataError, match="cannot hold 6 coded blocks"):
+            codec.decode_plane(payload, (24, 16), params)
+
+    def test_huge_declared_dims_allocate_nothing(self):
+        # 65535×65535 is 67,108,864 blocks, 32 GiB of coefficients; the
+        # address-space cap turns any allocation of that size into a MemoryError
+        code = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+            import numpy as np
+            from chromacodec import DataError, codec
+            params = codec.CodecParams(qp=32)
+            payload = codec.encode_plane(np.zeros((16, 16), dtype=np.uint8), params)
+            try:
+                codec.decode_plane(payload, (65535, 65535), params)
+            except DataError as exc:
+                print(exc)
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "cannot hold 67108864 coded blocks" in proc.stdout
+
+    @settings(deadline=None)
+    @given(st.binary(max_size=256), st.integers(1, 64), st.integers(1, 64), st.integers(0, 51))
+    def test_arbitrary_bytes_decode_or_raise_data_error(self, data, width, height, qp):
+        payload = codec.PlanePayload(data, 8 * len(data))
+        try:
+            plane = codec.decode_plane(payload, (width, height), codec.CodecParams(qp=qp))
+        except DataError:
+            return
+        assert plane.dtype == np.uint8 and plane.shape == (height, width)
 
     def test_low_qp_near_lossless(self):
         rng = np.random.default_rng(28)

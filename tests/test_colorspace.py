@@ -186,6 +186,11 @@ class TestIO:
         with pytest.raises(DataError):
             cs.frames_from_bytes(b"\x00" * 100, 8, 8, cs.SubsamplingMode.S400)
 
+    @pytest.mark.parametrize("width,height", [(-8, -8), (-8, 8), (8, 0)])
+    def test_non_positive_dims_are_config_error(self, width, height):
+        with pytest.raises(ConfigError, match="dims must be positive"):
+            cs.frames_from_bytes(b"\x00" * 192, width, height, cs.SubsamplingMode.S444)
+
     def test_422_stream_unsupported(self):
         with pytest.raises(ConfigError):
             cs.frames_from_bytes(b"", 8, 8, cs.SubsamplingMode.S422)

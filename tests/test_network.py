@@ -360,6 +360,14 @@ class TestWeightIO:
                 blob[:channels_at] + struct.pack("<I", channels) + blob[channels_at + 4 :]
             )
 
+    def test_unknown_flag_bits_are_data_error(self):
+        cfg = small_config(use_attention=True, use_glrc=True)
+        blob = net.serialize_weights(net.init_generator(cfg, seed=35), cfg)
+        flags_at = 4 + struct.calcsize("<HIII")  # magic, version, width, height, channels
+        assert blob[flags_at : flags_at + 2] == struct.pack("<H", 3)
+        with pytest.raises(DataError, match="flag bits 0xffff"):
+            net.deserialize_weights(blob[:flags_at] + b"\xff\xff" + blob[flags_at + 2 :])
+
     def test_huge_declared_network_allocates_nothing(self):
         # 100,000 base channels would need 37 GiB of weights; the reader must
         # find the values missing before building anything that size
