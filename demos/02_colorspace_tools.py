@@ -26,8 +26,7 @@ print("round trip max error:", int(np.max(np.abs(back.astype(int) - rgb.astype(i
 # Subsampling shrinks the raw sample volume; luma-only is 2/3 of 4:2:0.
 frame = cs.rgb_to_ycbcr(rgb)
 for mode in cs.SubsamplingMode:
-    smaller = cs.subsample(frame, mode)
-    print(f"{mode.value}: {cs.raw_volume(smaller):5d} bytes/frame")
+    print(f"{mode.value}: {cs.mode_volume(64, 48, mode):5d} bytes/frame")
 v420 = cs.mode_volume(64, 48, cs.SubsamplingMode.S420)
 v400 = cs.mode_volume(64, 48, cs.SubsamplingMode.S400)
 print(f"4:0:0 / 4:2:0 = {v400}/{v420} = {v400 / v420:.4f}")
@@ -35,7 +34,7 @@ print(f"4:0:0 / 4:2:0 = {v400}/{v420} = {v400 / v420:.4f}")
 with tempfile.TemporaryDirectory() as tmp:
     tmp = Path(tmp)
     # Headerless raw video: N frames back to back, planar within each frame.
-    frames = [cs.subsample(frame, cs.SubsamplingMode.S420) for _ in range(3)]
+    frames = [cs.subsample(frame) for _ in range(3)]
     cs.write_raw(tmp / "clip.yuv", frames)
     again = cs.read_raw(tmp / "clip.yuv", 64, 48, cs.SubsamplingMode.S420)
     print("raw file frames:", len(again),

@@ -1,17 +1,18 @@
 """Color conversion, chroma subsampling, and raw plane I/O.
 
-Frames are YCbCr with one of four sampling layouts: 4:4:4 (full
-chroma), 4:2:2 (half horizontal), 4:2:0 (half both ways), and 4:0:0
-(luma only, the layout the compression pipeline actually transmits).
-RGB conversion uses the full-range BT.601 matrix. All rounding here is
-half-up so results are reproducible bit-exactly across platforms.
+Frames are YCbCr in one of two sampling layouts: 4:4:4 (full chroma:
+the input, the training target and the decoded output) or 4:2:0 (half
+both ways: the anchors and subsampled raw input). Luma-only frames
+travel as bare luma planes, so 4:0:0 names a layout for volume counts
+but is never a Frame. RGB conversion uses the full-range BT.601 matrix.
+All rounding here is half-up so results are reproducible bit-exactly
+across platforms.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,7 +31,6 @@ class SubsamplingMode(enum.Enum):
     """Chroma sampling layouts, named by the usual J:a:b notation."""
 
     S444 = "444"
-    S422 = "422"
     S420 = "420"
     S400 = "400"
 
@@ -44,14 +44,10 @@ class SubsamplingMode(enum.Enum):
 
 
 def chroma_dims(width: int, height: int, mode: SubsamplingMode):
-    """Chroma plane dims for a luma plane of the given size, or None for 4:0:0."""
+    """Chroma plane dims of a 4:4:4 or 4:2:0 frame with the given luma size."""
     if mode is SubsamplingMode.S444:
         return width, height
-    if mode is SubsamplingMode.S422:
-        return -(-width // 2), height
-    if mode is SubsamplingMode.S420:
-        return -(-width // 2), -(-height // 2)
-    return None
+    return -(-width // 2), -(-height // 2)
 
 
 @dataclass(frozen=True)
@@ -83,31 +79,22 @@ class Plane:
 
 @dataclass(frozen=True)
 class Frame:
-    """One YCbCr frame; cb/cr are absent exactly when mode is 4:0:0."""
+    """One 4:4:4 or 4:2:0 YCbCr frame."""
 
     y: Plane
-    cb: Optional[Plane]
-    cr: Optional[Plane]
+    cb: Plane
+    cr: Plane
     mode: SubsamplingMode
 
     def __post_init__(self):
+        if self.mode is SubsamplingMode.S400:
+            raise ConfigError("a frame is 4:4:4 or 4:2:0, not 4:0:0")
         want = chroma_dims(self.y.width, self.y.height, self.mode)
-        if want is None:
-            if self.cb is not None or self.cr is not None:
-                raise DimensionError("4:0:0 frame must not carry chroma planes")
-            return
-        if self.cb is None or self.cr is None:
-            raise DimensionError(f"mode {self.mode.value} requires both chroma planes")
         for name, p in (("cb", self.cb), ("cr", self.cr)):
             if (p.width, p.height) != want:
                 raise DimensionError(
                     f"{name} plane is {p.width}×{p.height}, expected {want[0]}×{want[1]}"
                 )
-
-
-def luma_only(frame: Frame) -> Frame:
-    """Drop chroma, keeping just the transmitted luminance."""
-    return Frame(frame.y, None, None, SubsamplingMode.S400)
 
 
 # BT.601 full-range coefficients
@@ -157,119 +144,71 @@ def ycbcr_to_rgb(frame: Frame) -> np.ndarray:
     return _round_clamp_u8(ycc @ _INV.T)
 
 
-def _pad_even(a: np.ndarray, pad_h: bool, pad_w: bool) -> np.ndarray:
-    if (pad_h and a.shape[0] % 2) or (pad_w and a.shape[1] % 2):
-        return np.pad(
-            a,
-            ((0, a.shape[0] % 2 if pad_h else 0), (0, a.shape[1] % 2 if pad_w else 0)),
-            mode="edge",
-        )
-    return a
-
-
-def _box_down(plane: Plane, mode: SubsamplingMode) -> Plane:
+def _box_down(plane: Plane) -> Plane:
+    """Average each 2×2 box; an odd last row or column is edge-padded first."""
     a = plane.samples.astype(np.float64)
-    if mode is SubsamplingMode.S422:
-        a = _pad_even(a, pad_h=False, pad_w=True)
-        avg = (a[:, 0::2] + a[:, 1::2]) / 2.0
-    else:  # 4:2:0
-        a = _pad_even(a, pad_h=True, pad_w=True)
-        avg = (a[0::2, 0::2] + a[0::2, 1::2] + a[1::2, 0::2] + a[1::2, 1::2]) / 4.0
+    if a.shape[0] % 2 or a.shape[1] % 2:
+        a = np.pad(a, ((0, a.shape[0] % 2), (0, a.shape[1] % 2)), mode="edge")
+    avg = (a[0::2, 0::2] + a[0::2, 1::2] + a[1::2, 0::2] + a[1::2, 1::2]) / 4.0
     return Plane(_round_clamp_u8(avg))
 
 
-def subsample(frame: Frame, mode: SubsamplingMode) -> Frame:
-    """Reduce chroma resolution by box averaging (round half up)."""
+def subsample(frame: Frame) -> Frame:
+    """Reduce a 4:4:4 frame's chroma to 4:2:0 by box averaging (round half up)."""
     if frame.mode is not SubsamplingMode.S444:
         raise ConfigError(f"subsample needs 4:4:4 input, got {frame.mode.value}")
-    if mode is SubsamplingMode.S444:
-        return frame
-    if mode is SubsamplingMode.S400:
-        return luma_only(frame)
-    return Frame(frame.y, _box_down(frame.cb, mode), _box_down(frame.cr, mode), mode)
+    return Frame(frame.y, _box_down(frame.cb), _box_down(frame.cr), SubsamplingMode.S420)
 
 
 def upsample(frame: Frame) -> Frame:
-    """Replicate chroma samples (nearest neighbor) back to 4:4:4."""
-    if frame.mode is SubsamplingMode.S400:
-        raise ConfigError("cannot upsample a 4:0:0 frame: no chroma present")
-    if frame.mode is SubsamplingMode.S444:
-        return frame
+    """Replicate 4:2:0 chroma samples (nearest neighbor) back to 4:4:4."""
+    if frame.mode is not SubsamplingMode.S420:
+        raise ConfigError(f"upsample needs 4:2:0 input, got {frame.mode.value}")
     h, w = frame.y.height, frame.y.width
 
     def up(p: Plane) -> Plane:
-        a = p.samples
-        if frame.mode is SubsamplingMode.S422:
-            a = np.repeat(a, 2, axis=1)
-        else:
-            a = np.repeat(np.repeat(a, 2, axis=0), 2, axis=1)
-        return Plane(a[:h, :w])
+        return Plane(np.repeat(np.repeat(p.samples, 2, axis=0), 2, axis=1)[:h, :w])
 
     return Frame(frame.y, up(frame.cb), up(frame.cr), SubsamplingMode.S444)
 
 
-def raw_volume(frames) -> int:
-    """Total stored-sample count of a frame or a sequence of frames."""
-    if isinstance(frames, Frame):
-        frames = [frames]
-    return sum(mode_volume(f.y.width, f.y.height, f.mode) for f in frames)
-
-
 def mode_volume(width: int, height: int, mode: SubsamplingMode) -> int:
-    """Stored samples per frame for the given dims and layout."""
-    total = width * height
-    dims = chroma_dims(width, height, mode)
-    if dims is not None:
-        total += 2 * dims[0] * dims[1]
-    return total
+    """Stored samples per frame for the given dims and layout; 4:0:0 is luma alone."""
+    if mode is SubsamplingMode.S400:
+        return width * height
+    cw, ch = chroma_dims(width, height, mode)
+    return width * height + 2 * cw * ch
 
 
 # ---------------------------------------------------------------------------
 # raw byte-stream and PPM I/O
 # ---------------------------------------------------------------------------
 
-_FILE_MODES = (SubsamplingMode.S444, SubsamplingMode.S420, SubsamplingMode.S400)
-
-
 def frames_to_bytes(frames) -> bytes:
-    """Serialize frames as headerless planar bytes (Y, then Cb, Cr if present)."""
-    chunks = []
-    for f in frames:
-        if f.mode not in _FILE_MODES:
-            raise ConfigError(f"raw byte streams support 444/420/400, not {f.mode.value}")
-        chunks.append(f.y.samples.tobytes())
-        if f.cb is not None:
-            chunks.append(f.cb.samples.tobytes())
-            chunks.append(f.cr.samples.tobytes())
-    return b"".join(chunks)
+    """Serialize frames as headerless planar bytes: Y, Cb, Cr per frame."""
+    return b"".join(p.samples.tobytes() for f in frames for p in (f.y, f.cb, f.cr))
 
 
 def frames_from_bytes(data: bytes, width: int, height: int, mode: SubsamplingMode):
     """Parse a headerless planar byte stream into frames; dims come from the caller."""
-    if mode not in _FILE_MODES:
-        raise ConfigError(f"raw byte streams support 444/420/400, not {mode.value}")
+    if mode is SubsamplingMode.S400:
+        raise ConfigError("raw video is 4:4:4 or 4:2:0, not 4:0:0")
     if width < 1 or height < 1:
         raise ConfigError(f"raw frame dims must be positive, got {width}×{height}")
+    if not data:
+        raise DataError("raw video is empty: no frames")
     per = mode_volume(width, height, mode)
     if len(data) % per:
         raise DataError(
             f"stream length {len(data)} is not a multiple of frame size {per}"
         )
-    cdims = chroma_dims(width, height, mode)
-    frames = []
-    pos = 0
+    cw, ch = chroma_dims(width, height, mode)
     buf = np.frombuffer(data, dtype=np.uint8)
-    while pos < len(data):
-        y = Plane(buf[pos : pos + width * height].reshape(height, width))
-        pos += width * height
-        cb = cr = None
-        if cdims is not None:
-            cw, ch = cdims
-            cb = Plane(buf[pos : pos + cw * ch].reshape(ch, cw))
-            pos += cw * ch
-            cr = Plane(buf[pos : pos + cw * ch].reshape(ch, cw))
-            pos += cw * ch
-        frames.append(Frame(y, cb, cr, mode))
+    frames = []
+    for pos in range(0, len(data), per):
+        y = buf[pos : pos + width * height].reshape(height, width)
+        cb, cr = buf[pos + width * height : pos + per].reshape(2, ch, cw)
+        frames.append(Frame(Plane(y), Plane(cb), Plane(cr), mode))
     return frames
 
 
@@ -323,6 +262,8 @@ def read_ppm(path) -> np.ndarray:
         raise DataError(f"bad PPM header field: {exc}") from exc
     if maxval != 255:
         raise DataError(f"only maxval 255 PPM supported, got {maxval}")
+    if width < 1 or height < 1:
+        raise DataError(f"PPM dims must be at least 1×1, got {width}×{height}")
     need = width * height * 3
     body = data[pos : pos + need]
     if len(body) != need:

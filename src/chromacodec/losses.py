@@ -12,6 +12,7 @@ the generator for slightly brighter output than a plain MSE fit would.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,9 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("gan", "mse", "content", "color"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"loss weight {name} must be nonnegative")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"loss weight {name} must be finite and nonnegative, got {value}")
 
 
 # ablation groups: every group keeps the adversarial and pixel terms
@@ -112,19 +114,13 @@ class FeatureExtractor:
     """Frozen convolutional pyramid used as the content-feature map.
 
     Four stride-2 3×3 convolutions with ReLU, seeded random weights,
-    standing in for a pre-trained deep feature layer. Weights may also
-    be supplied explicitly (one (w, b) array pair per layer) to plug in
-    imported features instead.
+    standing in for a pre-trained deep feature layer.
     """
 
-    def __init__(self, in_channels: int, seed: int = 0, widths=(8, 16, 32, 32), layers=None):
+    def __init__(self, in_channels: int, seed: int = 0):
         self.layers = []
-        if layers is not None:
-            for w, b in layers:
-                self.layers.append((T.Tensor(w), T.Tensor(b)))
-            return
         cin = in_channels
-        for i, cout in enumerate(widths):
+        for i, cout in enumerate((8, 16, 32, 32)):
             rng = _rng_for(seed, f"feat{i}")
             bound = 1.0 / np.sqrt(cin * 9)
             w = rng.uniform(-bound, bound, size=(cout, cin, 3, 3))

@@ -40,8 +40,6 @@ def psnr_frame(a: Frame, b: Frame) -> dict:
     """Per-channel PSNR plus the (4·Y + Cb + Cr)/6 weighted combination."""
     if a.mode is not b.mode:
         raise ConfigError(f"frame modes differ: {a.mode.value} vs {b.mode.value}")
-    if a.cb is None:
-        raise ConfigError("psnr_frame needs chroma planes on both frames")
     vals = {
         "y": psnr(a.y, b.y),
         "cb": psnr(a.cb, b.cb),
@@ -163,8 +161,11 @@ def _overlap(lo_a, hi_a, lo_b, hi_b):
 
 def _avg_poly_diff(x_a, y_a, x_b, y_b):
     """Average (fit_b - fit_a) over the shared x range, cubic fits."""
-    poly_a = np.polyfit(x_a, y_a, 3)
-    poly_b = np.polyfit(x_b, y_b, 3)
+    try:
+        poly_a = np.polyfit(x_a, y_a, 3)
+        poly_b = np.polyfit(x_b, y_b, 3)
+    except np.linalg.LinAlgError as exc:  # values too large for the least-squares fit
+        raise DataError(f"cubic fit of the rd curves failed: {exc}") from exc
     lo, hi = _overlap(x_a.min(), x_a.max(), x_b.min(), x_b.max())
     anti_a, anti_b = np.polyint(poly_a), np.polyint(poly_b)
     int_a = np.polyval(anti_a, hi) - np.polyval(anti_a, lo)
@@ -226,8 +227,13 @@ def curve_from_csv(text: str) -> RDCurve:
 
 
 def read_curve(path) -> RDCurve:
-    with open(path, "r", encoding="utf-8") as fh:
-        return curve_from_csv(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"rd curve {path} is not UTF-8 text: {exc}") from exc
+    return curve_from_csv(text)
 
 
 def write_curve(path, c: RDCurve) -> None:

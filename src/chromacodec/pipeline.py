@@ -10,6 +10,7 @@ non-anchors decode their luma and get chroma from the colorizer.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass
 
@@ -81,8 +82,8 @@ class CompressedVideo:
 
 def encode_sequence(frames, qp: int, gop: GopStructure, gen_store, net_config, fps: float = 30.0):
     """Compress 4:4:4 frames; returns (CompressedVideo, kbps at the given fps)."""
-    if not fps > 0:
-        raise ConfigError(f"fps must be positive, got {fps}")
+    if not 0 < fps < math.inf:
+        raise ConfigError(f"fps must be positive and finite, got {fps}")
     if len(frames) != gop.frame_count:
         raise DimensionError(
             f"gop structure covers {gop.frame_count} frames, got {len(frames)}"
@@ -99,7 +100,7 @@ def encode_sequence(frames, qp: int, gop: GopStructure, gen_store, net_config, f
         if (frame.y.width, frame.y.height) != (w, h):
             raise DimensionError(f"frame {i} dims differ from frame 0")
         if gop.is_anchor(i):
-            sub = subsample(frame, SubsamplingMode.S420)
+            sub = subsample(frame)
             payloads = tuple(
                 codec.encode_plane(p.samples, params) for p in (sub.y, sub.cb, sub.cr)
             )

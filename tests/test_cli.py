@@ -101,6 +101,9 @@ class TestErrorPaths:
             ("encode", ["--gop", 0]),
             ("encode", ["--fps", 0]),
             ("train", ["--channels", 5]),
+            ("train", ["--loss-weights=nan,100,1000,100"]),
+            ("train", ["--loss-weights=inf,100,1000,100"]),
+            ("encode", ["--fps", "inf"]),
         ],
     )
     def test_out_of_range_setting_is_usage_error(self, raw_input, tmp_path, command, flags):
@@ -109,6 +112,44 @@ class TestErrorPaths:
         assert run(["train", *dims, "--steps", 0, "--out", weights]) == 0
         extra = ["--steps", 0] if command == "train" else ["--weights", weights]
         assert run([command, *dims, *extra, *flags, "--out", tmp_path / "out"]) == 2
+
+    @pytest.mark.parametrize("command", ["train", "encode", "eval"])
+    def test_empty_raw_input_is_data_error(self, raw_input, tmp_path, capsys, command):
+        weights = tmp_path / "w.cgwt"
+        dims = ["--width", 16, "--height", 16]
+        assert run(["train", "--input", raw_input, *dims, "--steps", 0, "--out", weights]) == 0
+        empty = tmp_path / "empty.yuv"
+        empty.write_bytes(b"")
+        args = {
+            "train": ["--input", empty, "--steps", 0, "--out", tmp_path / "w2.cgwt"],
+            "encode": ["--input", empty, "--weights", weights, "--out", tmp_path / "s.cgv"],
+            "eval": ["--ref", empty, "--test", empty],
+        }[command]
+        assert run([command, *args, *dims]) == 3
+        assert "raw video is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("dims", [b"-4 -2", b"0 0"])
+    def test_ppm_dims_below_one_are_data_error(self, tmp_path, capsys, command, dims):
+        ppm = tmp_path / "bad.ppm"
+        ppm.write_bytes(b"P6\n" + dims + b"\n255\n" + b"\x00" * 24)
+        args = {
+            "train": ["--input", ppm, "--steps", 0, "--out", tmp_path / "w.cgwt"],
+            "eval": ["--ref", ppm, "--test", ppm],
+        }[command]
+        assert run([command, *args]) == 3
+        assert "PPM dims must be at least 1×1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["4:2:2", "4:0:0"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_unsupported_raw_mode_is_usage_error(self, raw_input, tmp_path, capsys, command, mode):
+        flags = ["--width", 16, "--height", 16, "--mode", mode]
+        args = {
+            "train": ["--input", raw_input, "--steps", 0, "--out", tmp_path / "w.cgwt"],
+            "eval": ["--ref", raw_input, "--test", raw_input],
+        }[command]
+        assert run([command, *args, *flags]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_truncated_weight_file(self, raw_input, tmp_path, capsys):
         weights = tmp_path / "w.cgwt"
@@ -301,6 +342,19 @@ class TestPipelineCommands:
         assert report["average"]["psnr_y"] > 25.0
         assert {"psnr_cb", "psnr_cr", "psnr_combined", "ssim_y"} <= set(report["frames"][0])
 
+    def test_420_raw_input_trains_and_evaluates(self, tmp_path, capsys):
+        frames = synthetic_frames()
+        raw = tmp_path / "input420.yuv"
+        cs.write_raw(raw, [cs.subsample(f) for f in frames])
+        flags = ["--width", 16, "--height", 16, "--mode", "4:2:0"]
+        assert run(["train", "--input", raw, *flags, "--steps", 1,
+                    "--out", tmp_path / "w.cgwt"]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--ref", raw, "--test", raw, *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["frame_count"] == len(frames)
+        assert report["average"]["psnr_combined"] == "inf"
+
     def test_anchor_frames_beat_colorized_frames(self, raw_input, tmp_path):
         weights = tmp_path / "w.cgwt"
         stream = tmp_path / "s.cgv"
@@ -364,6 +418,25 @@ class TestRdReport:
         rc = run(["rd-report", "--anchor", tmp_path / "a.csv", "--proposed", tmp_path / "b.csv"])
         assert rc == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):
+        good = tmp_path / "a.csv"
+        metrics.write_curve(good, metrics.curve(ref.anchor_points("Silent")))
+        bad = tmp_path / "b.csv"
+        bad.write_bytes(b"qp,bitrate_kbps,psnr_db\n\xff\xfe,1,2\n")
+        assert run(["rd-report", "--anchor", good, "--proposed", bad]) == 3
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("psnr", [1e200, 1e308])
+    def test_non_converging_bd_fit_is_data_error(self, tmp_path, capsys, psnr):
+        anchor = metrics.curve(ref.anchor_points("Silent"))
+        good = tmp_path / "a.csv"
+        metrics.write_curve(good, anchor)
+        bad = tmp_path / "b.csv"
+        points = [(p.bitrate, psnr if i == 0 else p.psnr) for i, p in enumerate(anchor.points)]
+        metrics.write_curve(bad, metrics.curve(points))
+        assert run(["rd-report", "--anchor", good, "--proposed", bad]) == 3
+        assert "cubic fit" in capsys.readouterr().err
 
     def test_report_to_stdout(self, tmp_path, capsys):
         curve_csv = tmp_path / "c.csv"

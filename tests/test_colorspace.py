@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chromacodec import ConfigError, DataError, DimensionError
+from chromacodec import ChromaCodecError, ConfigError, DataError, DimensionError
 from chromacodec import colorspace as cs
 
 
@@ -50,7 +52,7 @@ class TestConversion:
             cs.rgb_to_ycbcr(np.zeros((4, 4), dtype=np.uint8))
 
     def test_rgb_conversion_requires_full_chroma(self):
-        frame = cs.luma_only(cs.rgb_to_ycbcr(np.zeros((4, 4, 3), dtype=np.uint8)))
+        frame = cs.subsample(cs.rgb_to_ycbcr(np.zeros((4, 4, 3), dtype=np.uint8)))
         with pytest.raises(ConfigError):
             cs.ycbcr_to_rgb(frame)
 
@@ -58,9 +60,7 @@ class TestConversion:
 class TestFrameInvariants:
     def test_chroma_dims_by_mode(self):
         assert cs.chroma_dims(64, 48, cs.SubsamplingMode.S444) == (64, 48)
-        assert cs.chroma_dims(64, 48, cs.SubsamplingMode.S422) == (32, 48)
         assert cs.chroma_dims(64, 48, cs.SubsamplingMode.S420) == (32, 24)
-        assert cs.chroma_dims(64, 48, cs.SubsamplingMode.S400) is None
 
     def test_odd_dims_use_ceiling(self):
         assert cs.chroma_dims(5, 3, cs.SubsamplingMode.S420) == (3, 2)
@@ -71,41 +71,33 @@ class TestFrameInvariants:
         with pytest.raises(DimensionError):
             cs.Frame(cs.Plane(y), cs.Plane(c), cs.Plane(c), cs.SubsamplingMode.S444)
 
-    def test_luma_only_drops_chroma(self):
+    def test_frame_rejects_400(self):
         y = np.zeros((8, 8), dtype=np.uint8)
-        frame = make_frame(y, y, y)
-        assert cs.luma_only(frame).cb is None
+        with pytest.raises(ConfigError):
+            make_frame(y, y, y, cs.SubsamplingMode.S400)
 
     def test_mode_parse(self):
         assert cs.SubsamplingMode.parse("4:2:0") is cs.SubsamplingMode.S420
         assert cs.SubsamplingMode.parse("444") is cs.SubsamplingMode.S444
-        with pytest.raises(ConfigError):
-            cs.SubsamplingMode.parse("411")
+        for text in ("411", "4:2:2"):
+            with pytest.raises(ConfigError):
+                cs.SubsamplingMode.parse(text)
 
 
 class TestSampling:
     def test_constant_chroma_round_trips_exactly(self):
         y = np.full((6, 8), 90, dtype=np.uint8)
         frame = make_frame(y, np.full((6, 8), 33, np.uint8), np.full((6, 8), 201, np.uint8))
-        for mode in (cs.SubsamplingMode.S420, cs.SubsamplingMode.S422):
-            back = cs.upsample(cs.subsample(frame, mode))
-            assert np.array_equal(back.cb.samples, frame.cb.samples)
-            assert np.array_equal(back.cr.samples, frame.cr.samples)
+        back = cs.upsample(cs.subsample(frame))
+        assert np.array_equal(back.cb.samples, frame.cb.samples)
+        assert np.array_equal(back.cr.samples, frame.cr.samples)
 
     def test_checkerboard_averages_to_midgray(self):
         cb = np.indices((8, 8)).sum(axis=0) % 2 * 255
         y = np.zeros((8, 8), dtype=np.uint8)
         frame = make_frame(y, cb.astype(np.uint8), cb.astype(np.uint8))
-        sub = cs.subsample(frame, cs.SubsamplingMode.S420)
+        sub = cs.subsample(frame)
         assert np.all(sub.cb.samples == 128)
-        sub2 = cs.subsample(frame, cs.SubsamplingMode.S422)
-        assert np.all(sub2.cb.samples == 128)
-
-    def test_400_drops_chroma(self):
-        y = np.zeros((4, 4), dtype=np.uint8)
-        frame = make_frame(y, y, y)
-        sub = cs.subsample(frame, cs.SubsamplingMode.S400)
-        assert sub.cb is None and sub.cr is None
 
     def test_single_chroma_sample_becomes_block(self):
         y = np.zeros((2, 2), dtype=np.uint8)
@@ -119,10 +111,15 @@ class TestSampling:
         assert np.all(up.cb.samples == 77)
         assert up.cb.samples.shape == (2, 2)
 
-    def test_upsample_400_errors(self):
-        frame = cs.Frame(cs.Plane(np.zeros((4, 4), np.uint8)), None, None, cs.SubsamplingMode.S400)
+    def test_upsample_rejects_444(self):
+        y = np.zeros((4, 4), dtype=np.uint8)
         with pytest.raises(ConfigError):
-            cs.upsample(frame)
+            cs.upsample(make_frame(y, y, y))
+
+    def test_subsample_rejects_420(self):
+        y = np.zeros((4, 4), dtype=np.uint8)
+        with pytest.raises(ConfigError):
+            cs.subsample(cs.subsample(make_frame(y, y, y)))
 
     def test_odd_dims_replicate_edges(self):
         # 3×3 chroma: bottom-right 2×2 box is entirely the replicated corner
@@ -130,7 +127,7 @@ class TestSampling:
         cb[2, 2] = 200
         y = np.zeros((3, 3), dtype=np.uint8)
         frame = make_frame(y, cb, cb)
-        sub = cs.subsample(frame, cs.SubsamplingMode.S420)
+        sub = cs.subsample(frame)
         assert sub.cb.samples.shape == (2, 2)
         assert sub.cb.samples[1, 1] == 200
 
@@ -138,7 +135,7 @@ class TestSampling:
         # one 2x2 box averaging to 0.5 must round to 1, not 0
         cb = np.array([[1, 1], [0, 0]], dtype=np.uint8)
         y = np.zeros((2, 2), dtype=np.uint8)
-        sub = cs.subsample(make_frame(y, cb, cb), cs.SubsamplingMode.S420)
+        sub = cs.subsample(make_frame(y, cb, cb))
         assert sub.cb.samples[0, 0] == 1
 
 
@@ -147,53 +144,70 @@ class TestVolume:
         y = np.zeros((64, 64), np.uint8)
         c = np.zeros((32, 32), np.uint8)
         frame = cs.Frame(cs.Plane(y), cs.Plane(c), cs.Plane(c), cs.SubsamplingMode.S420)
-        assert cs.raw_volume(frame) == 6144
+        assert cs.mode_volume(64, 64, frame.mode) == 6144
+        assert len(cs.frames_to_bytes([frame])) == 6144
 
     def test_400_is_two_thirds_of_420(self):
-        luma = cs.Frame(cs.Plane(np.zeros((64, 64), np.uint8)), None, None, cs.SubsamplingMode.S400)
-        assert cs.raw_volume(luma) == 4096
-        assert cs.raw_volume(luma) * 3 == cs.mode_volume(64, 64, cs.SubsamplingMode.S420) * 2
-
-    def test_422_volume(self):
-        assert cs.mode_volume(4, 2, cs.SubsamplingMode.S422) == 16
-
-    def test_sequence_volume_sums(self):
-        f = cs.Frame(cs.Plane(np.zeros((8, 8), np.uint8)), None, None, cs.SubsamplingMode.S400)
-        assert cs.raw_volume([f, f, f]) == 192
+        assert cs.mode_volume(64, 64, cs.SubsamplingMode.S400) == 4096
+        assert cs.mode_volume(64, 64, cs.SubsamplingMode.S400) * 3 == (
+            cs.mode_volume(64, 64, cs.SubsamplingMode.S420) * 2
+        )
 
 
 class TestIO:
-    @pytest.mark.parametrize(
-        "mode", [cs.SubsamplingMode.S444, cs.SubsamplingMode.S420, cs.SubsamplingMode.S400]
-    )
+    @pytest.mark.parametrize("mode", [cs.SubsamplingMode.S444, cs.SubsamplingMode.S420])
     def test_raw_round_trip(self, tmp_path, mode):
         rng = np.random.default_rng(5)
         frames = []
         for _ in range(3):
-            rgb = rng.integers(0, 256, size=(16, 24, 3), dtype=np.uint8)
-            frames.append(cs.subsample(cs.rgb_to_ycbcr(rgb), mode))
+            frame = cs.rgb_to_ycbcr(rng.integers(0, 256, size=(16, 24, 3), dtype=np.uint8))
+            frames.append(frame if mode is cs.SubsamplingMode.S444 else cs.subsample(frame))
         path = tmp_path / "clip.raw"
         cs.write_raw(path, frames)
         back = cs.frames_from_bytes(path.read_bytes(), 24, 16, mode)
         assert len(back) == 3
         for a, b in zip(frames, back):
+            assert b.mode is mode
             assert np.array_equal(a.y.samples, b.y.samples)
-            if mode is not cs.SubsamplingMode.S400:
-                assert np.array_equal(a.cb.samples, b.cb.samples)
-                assert np.array_equal(a.cr.samples, b.cr.samples)
+            assert np.array_equal(a.cb.samples, b.cb.samples)
+            assert np.array_equal(a.cr.samples, b.cr.samples)
 
     def test_bad_stream_length_rejected(self):
         with pytest.raises(DataError):
-            cs.frames_from_bytes(b"\x00" * 100, 8, 8, cs.SubsamplingMode.S400)
+            cs.frames_from_bytes(b"\x00" * 100, 8, 8, cs.SubsamplingMode.S420)
+
+    @pytest.mark.parametrize("mode", [cs.SubsamplingMode.S444, cs.SubsamplingMode.S420])
+    def test_empty_stream_is_data_error(self, mode):
+        with pytest.raises(DataError, match="empty"):
+            cs.frames_from_bytes(b"", 16, 16, mode)
 
     @pytest.mark.parametrize("width,height", [(-8, -8), (-8, 8), (8, 0)])
     def test_non_positive_dims_are_config_error(self, width, height):
         with pytest.raises(ConfigError, match="dims must be positive"):
             cs.frames_from_bytes(b"\x00" * 192, width, height, cs.SubsamplingMode.S444)
 
-    def test_422_stream_unsupported(self):
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.data(),
+        st.integers(1, 16),
+        st.integers(1, 16),
+        st.sampled_from([cs.SubsamplingMode.S444, cs.SubsamplingMode.S420]),
+    )
+    def test_any_bytes_give_frames_or_error(self, data, width, height, mode):
+        per = cs.mode_volume(width, height, mode)
+        size = data.draw(st.integers(0, 3).map(lambda n: n * per) | st.integers(0, 3 * per))
+        raw = data.draw(st.binary(min_size=size, max_size=size))
+        try:
+            frames = cs.frames_from_bytes(raw, width, height, mode)
+        except ChromaCodecError:
+            return
+        assert len(frames) == size // per and all(f.mode is mode for f in frames)
+        assert all((f.y.width, f.y.height) == (width, height) for f in frames)
+        assert cs.frames_to_bytes(frames) == raw
+
+    def test_400_stream_unsupported(self):
         with pytest.raises(ConfigError):
-            cs.frames_from_bytes(b"", 8, 8, cs.SubsamplingMode.S422)
+            cs.frames_from_bytes(b"\x00" * 64, 8, 8, cs.SubsamplingMode.S400)
 
     def test_ppm_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -215,6 +229,40 @@ class TestIO:
         path.write_bytes(b"P6\n2 2\n255\n\x00\x00")
         with pytest.raises(DataError):
             cs.read_ppm(path)
+
+    @pytest.mark.parametrize("dims", [b"-4 -2", b"0 0", b"0 3", b"3 0", b"-1 -24"])
+    def test_ppm_dims_below_one_are_data_error(self, tmp_path, dims):
+        path = tmp_path / "d.ppm"
+        path.write_bytes(b"P6\n" + dims + b"\n255\n" + b"\x00" * 24)
+        with pytest.raises(DataError, match="at least 1"):
+            cs.read_ppm(path)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.lists(
+            st.integers(-3, 10**30).map(str)
+            | st.just("255")
+            | st.text("0123456789+-# \n", max_size=4),
+            max_size=4,
+        ).map(lambda ts: [t.encode() for t in ts])
+        | st.lists(st.binary(max_size=4), max_size=4)
+        | st.tuples(st.integers(-2, 6), st.integers(-2, 6)).map(
+            lambda wh: [str(wh[0]).encode(), str(wh[1]).encode(), b"255"]
+        ),
+        st.sampled_from([b" ", b"\n", b"\t", b"\n# c\n"]),
+        st.binary(max_size=120),
+    )
+    def test_p6_with_random_header_gives_image_or_data_error(
+        self, tmp_path_factory, tokens, sep, body
+    ):
+        path = tmp_path_factory.getbasetemp() / "fuzz.ppm"
+        path.write_bytes(b"P6" + sep + sep.join(tokens) + b"\n" + body)
+        try:
+            img = cs.read_ppm(path)
+        except DataError:
+            return
+        assert img.dtype == np.uint8 and img.ndim == 3 and img.shape[2] == 3
+        assert img.shape[0] >= 1 and img.shape[1] >= 1
 
     def test_ppm_wrong_magic(self, tmp_path):
         path = tmp_path / "m.ppm"

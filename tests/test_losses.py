@@ -219,13 +219,6 @@ class TestContentLoss:
         err = T.grad_check(lambda g: L.content_loss(ext, g, tgt), [(1, 2, 16, 16)], seed=12)
         assert err < 1e-4
 
-    def test_extractor_accepts_imported_layers(self):
-        w = np.zeros((1, 2, 3, 3))
-        w[0, 0, 1, 1] = 1.0
-        ext = L.FeatureExtractor(2, layers=[(w, np.zeros(1))])
-        out = ext(T.Tensor(np.ones((1, 2, 8, 8))))
-        assert out.shape == (1, 1, 4, 4)
-
 
 class TestMixedLoss:
     def unit_components(self):

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chromacodec import ConfigError, DataError, DimensionError
+from chromacodec import ChromaCodecError, ConfigError, DataError, DimensionError
 from chromacodec import colorspace as cs
 from chromacodec import metrics
 
@@ -236,6 +238,15 @@ class TestBdMetrics:
         assert proposed.psnrs.min() > anchor.psnrs.max()
         assert metrics.bd_rate(anchor, proposed) < -80.0
 
+    @pytest.mark.parametrize("psnr", [1e150, 1e200, 1e308])
+    def test_fit_that_does_not_converge_is_data_error(self, psnr):
+        a, _ = self.silent_curves()
+        huge = metrics.curve(
+            [(p.bitrate, psnr if i == 0 else p.psnr) for i, p in enumerate(a.points)]
+        )
+        with pytest.raises(DataError, match="cubic fit"):
+            metrics.comparison_report(a, huge)
+
     def test_curve_requires_increasing_rates(self):
         with pytest.raises(DataError):
             metrics.RDCurve(
@@ -275,6 +286,38 @@ class TestCurveIO:
         path = tmp_path / "curve.csv"
         metrics.write_curve(path, c)
         assert metrics.read_curve(path) == c
+
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_bytes(b"qp,bitrate_kbps,psnr_db\n27,100.0,30.0\xff\n")
+        with pytest.raises(DataError, match="not UTF-8"):
+            metrics.read_curve(path)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.binary(max_size=200))
+    def test_any_csv_bytes_give_report_or_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_bytes(data)
+        anchor = metrics.curve(ref.anchor_points("Silent"))
+        try:
+            report = metrics.comparison_report(anchor, metrics.read_curve(path))
+        except ChromaCodecError:
+            return
+        assert set(report) == {"points", "bd_rate_percent", "bd_psnr_db"}
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(st.floats(allow_nan=True, allow_infinity=True),
+                              st.floats(allow_nan=True, allow_infinity=True)),
+                    min_size=1, max_size=6))
+    def test_any_csv_numbers_give_report_or_error(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_text("".join(f",{r!r},{q!r}\n" for r, q in rows), encoding="utf-8")
+        anchor = metrics.curve(ref.anchor_points("Silent"))
+        try:
+            report = metrics.comparison_report(anchor, metrics.read_curve(path))
+        except ChromaCodecError:
+            return
+        assert set(report) == {"points", "bd_rate_percent", "bd_psnr_db"}
 
     def test_report_json(self):
         anchor = metrics.curve(ref.anchor_points("Silent"))
