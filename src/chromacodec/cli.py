@@ -4,7 +4,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import astuple, replace
+from dataclasses import astuple
 from pathlib import Path
 
 from . import colorspace as cs
@@ -130,9 +130,7 @@ def cmd_train(args) -> int:
 
 def cmd_encode(args) -> int:
     frames = _load_frames(args.input, args)
-    gen, saved_config = network.deserialize_weights(Path(args.weights).read_bytes())
-    # weights are spatial-size agnostic; rebind the config to the input dims
-    net_config = replace(saved_config, width=frames[0].y.width, height=frames[0].y.height)
+    gen, net_config = network.deserialize_weights(Path(args.weights).read_bytes())
     gop = pipeline.split_gops(len(frames), args.gop)
     video, kbps = pipeline.encode_sequence(frames, args.qp, gop, gen, net_config, args.fps)
     pipeline.write_video(args.out, video)

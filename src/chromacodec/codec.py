@@ -45,12 +45,6 @@ class PlanePayload:
     data: bytes
     bit_length: int
 
-    def __post_init__(self):
-        if not 0 <= len(self.data) * 8 - self.bit_length < 8:
-            raise DataError(
-                f"bit length {self.bit_length} inconsistent with {len(self.data)} bytes"
-            )
-
 
 def _dct_matrix() -> np.ndarray:
     n = np.arange(BLOCK)

@@ -21,8 +21,6 @@ from . import tensor as T
 from .errors import ConfigError, DimensionError
 from .network import _rng_for
 
-LOG_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -49,13 +47,13 @@ LOSS_GROUPS = {
 
 def gan_loss(d_out: T.Tensor) -> T.Tensor:
     """Generator-side adversarial term: mean over patches of -log D."""
-    return T.scale(T.mean(T.log_floor(d_out, LOG_EPS)), -1.0)
+    return T.scale(T.mean(T.log_floor(d_out)), -1.0)
 
 
 def discriminator_loss(d_real: T.Tensor, d_fake: T.Tensor) -> T.Tensor:
     """Mean of -log D(real) - log(1 - D(fake))."""
-    real_term = T.mean(T.log_floor(d_real, LOG_EPS))
-    fake_term = T.mean(T.log_floor(T.scale(d_fake, -1.0) + T.Tensor(1.0), LOG_EPS))
+    real_term = T.mean(T.log_floor(d_real))
+    fake_term = T.mean(T.log_floor(T.scale(d_fake, -1.0) + T.Tensor(1.0)))
     return T.scale(real_term + fake_term, -1.0)
 
 
@@ -66,36 +64,17 @@ def mse_loss(gen: T.Tensor, target: T.Tensor) -> T.Tensor:
     return T.mean(T.square(gen - target))
 
 
-def _require_positive(**values):
-    for name, v in values.items():
-        if not v > 0:
-            raise ConfigError(f"{name} must be positive, got {v}")
+# unit-amplitude 1-D Gaussian exp(-k^2/(2·3)) for k = -10..10
+_TAPS = np.exp(-np.arange(-10.0, 11.0) ** 2 / 6.0)
 
 
-def _gaussian_taps(sigma: float = 3.0, size: int = 21) -> np.ndarray:
-    """Unit-amplitude 1-D Gaussian exp(-k^2/(2*sigma)), centered."""
-    if size % 2 == 0 or size < 1:
-        raise ConfigError(f"kernel size must be odd and positive, got {size}")
-    _require_positive(sigma=sigma)
-    half = size // 2
-    k = np.arange(-half, half + 1, dtype=np.float64)
-    return np.exp(-(k * k) / (2.0 * sigma))
-
-
-def gaussian_kernel(theta: float, sigma: float = 3.0, size: int = 21) -> np.ndarray:
-    """Unnormalized tap grid theta * exp(-k^2/(2*sigma) - l^2/(2*sigma)); its center is theta."""
-    _require_positive(theta=theta)
-    one_d = _gaussian_taps(sigma, size)
-    return theta * np.outer(one_d, one_d)
+def gaussian_kernel(theta: float) -> np.ndarray:
+    """Unnormalized 21×21 tap grid theta · outer(_TAPS, _TAPS); its center is theta."""
+    return theta * np.outer(_TAPS, _TAPS)
 
 
 def color_loss(
-    gen: T.Tensor,
-    target: T.Tensor,
-    theta_gen: float = 0.062,
-    theta_target: float = 0.065,
-    sigma: float = 3.0,
-    size: int = 21,
+    gen: T.Tensor, target: T.Tensor, theta_gen: float = 0.062, theta_target: float = 0.065
 ) -> T.Tensor:
     """Squared difference of Gaussian-filtered images, mean-normalized.
 
@@ -105,9 +84,8 @@ def color_loss(
     """
     if gen.shape != target.shape:
         raise DimensionError(f"color_loss shapes differ: {gen.shape} vs {target.shape}")
-    _require_positive(theta_gen=theta_gen, theta_target=theta_target)
     diff = T.scale(gen, theta_gen) - T.scale(target, theta_target)
-    return T.mean(T.square(T.separable_filter(diff, _gaussian_taps(sigma, size))))
+    return T.mean(T.square(T.separable_filter(diff, _TAPS)))
 
 
 class FeatureExtractor:

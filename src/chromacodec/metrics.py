@@ -242,7 +242,7 @@ def write_curve(path, c: RDCurve) -> None:
 
 
 def comparison_report(anchor: RDCurve, test: RDCurve) -> dict:
-    """Pointwise and integrated comparison, JSON-serializable."""
+    """Pointwise and integrated comparison, JSON-serializable; every number is finite."""
     per_point = []
     for pa, pb in zip(anchor.points, test.points):
         per_point.append(
@@ -252,11 +252,17 @@ def comparison_report(anchor: RDCurve, test: RDCurve) -> dict:
                 "delta_psnr_db": delta_psnr(pb, pa),
             }
         )
-    return {
-        "points": per_point,
-        "bd_rate_percent": bd_rate(anchor, test),
-        "bd_psnr_db": bd_psnr(anchor, test),
-    }
+    with np.errstate(all="ignore"):  # extreme curves overflow; reported just below
+        bd = {"bd_rate_percent": bd_rate(anchor, test), "bd_psnr_db": bd_psnr(anchor, test)}
+    named = list(bd.items()) + [
+        (f"point {i} {key}", p[key])
+        for i, p in enumerate(per_point)
+        for key in ("delta_br_percent", "delta_psnr_db")
+    ]
+    bad = [name for name, value in named if not math.isfinite(value)]
+    if bad:
+        raise DataError(f"rd comparison is not finite: {', '.join(bad)}")
+    return {"points": per_point, **bd}
 
 
 def _inf_to_text(value):

@@ -76,9 +76,7 @@ def _convt_tensors(prefix, cin, cout, k):
 
 
 def multires_split(out_channels: int):
-    """Branch widths: one sixth, one third, and the remainder."""
-    if out_channels < 6:
-        raise ConfigError(f"multires block needs ≥ 6 output channels, got {out_channels}")
+    """Branch widths: one sixth, one third, and the remainder (needs ≥ 6 channels)."""
     c1 = out_channels // 6
     c2 = out_channels // 3
     return c1, c2, out_channels - c1 - c2

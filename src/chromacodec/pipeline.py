@@ -12,7 +12,8 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,9 +72,9 @@ class CompressedVideo:
     height: int
     qp: int
     gop_size: int
-    anchor_mode: SubsamplingMode  # always 4:2:0
     weight_blob: bytes
     records: tuple
+    anchor_mode: ClassVar[SubsamplingMode] = SubsamplingMode.S420
 
     @property
     def frame_count(self) -> int:
@@ -109,10 +110,9 @@ def encode_sequence(frames, qp: int, gop: GopStructure, gen_store, net_config, f
             records.append(
                 FrameRecord(LUMA_ONLY, (codec.encode_plane(frame.y.samples, params),))
             )
-    blob = network.serialize_weights(gen_store, net_config)
-    video = CompressedVideo(
-        w, h, qp, gop.gop_size, SubsamplingMode.S420, blob, tuple(records)
-    )
+    # weights are spatial-size agnostic: the stream's weight header carries the frame dims
+    blob = network.serialize_weights(gen_store, replace(net_config, width=w, height=h))
+    video = CompressedVideo(w, h, qp, gop.gop_size, blob, tuple(records))
     return video, bitrate_report(video, fps)["kbps"]
 
 
@@ -216,9 +216,7 @@ def deserialize_video(data: bytes) -> CompressedVideo:
             payloads.append(codec.PlanePayload(raw, len(raw) * 8))
         records.append(FrameRecord(kind, tuple(payloads)))
     r.finish("final frame record")
-    return CompressedVideo(
-        width, height, qp, gop_size, SubsamplingMode.S420, blob, tuple(records)
-    )
+    return CompressedVideo(width, height, qp, gop_size, blob, tuple(records))
 
 
 def write_video(path, video: CompressedVideo) -> None:
@@ -232,26 +230,23 @@ def read_video(path) -> CompressedVideo:
 
 
 def bitrate_report(video: CompressedVideo, fps: float = 30.0) -> dict:
-    """Exact bit accounting per stream component, plus kbps both ways."""
+    """Bits per stream component (overhead: header and record framing), plus kbps both ways."""
     anchor_bits = 0
     luma_bits = 0
-    record_overhead = 0
     for record in video.records:
         payload_bits = sum(len(p.data) * 8 for p in record.payloads)
-        record_overhead += 8 + 32 * len(record.payloads)
         if record.kind == ANCHOR:
             anchor_bits += payload_bits
         else:
             luma_bits += payload_bits
     model_bits = len(video.weight_blob) * 8
-    header_bits = (4 + struct.calcsize(_HEADER)) * 8
-    total_bits = anchor_bits + luma_bits + model_bits + header_bits + record_overhead
+    total_bits = len(serialize_video(video)) * 8
     n = video.frame_count
     return {
         "anchor_bits": anchor_bits,
         "luma_bits": luma_bits,
         "model_bits": model_bits,
-        "overhead_bits": header_bits + record_overhead,
+        "overhead_bits": total_bits - anchor_bits - luma_bits - model_bits,
         "total_bits": total_bits,
         "kbps": total_bits * fps / (1000.0 * n),
         "kbps_without_model": (total_bits - model_bits) * fps / (1000.0 * n),

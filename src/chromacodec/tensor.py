@@ -276,11 +276,15 @@ def relu(t: Tensor) -> Tensor:
     return _result(data, (t,), backprop)
 
 
-def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
-    data = np.where(t.data > 0.0, t.data, slope * t.data)
+LEAK = 0.2  # leaky_relu's negative-side gain, as in DCGAN's discriminator
+LOG_FLOOR = 1e-12  # log_floor's input floor
+
+
+def leaky_relu(t: Tensor) -> Tensor:
+    data = np.where(t.data > 0.0, t.data, LEAK * t.data)
 
     def backprop(g):
-        _accum(t, g * np.where(t.data > 0.0, 1.0, slope))
+        _accum(t, g * np.where(t.data > 0.0, 1.0, LEAK))
 
     return _result(data, (t,), backprop)
 
@@ -304,13 +308,13 @@ def tanh(t: Tensor) -> Tensor:
     return _result(data, (t,), backprop)
 
 
-def log_floor(t: Tensor, eps: float = 1e-12) -> Tensor:
-    """log(max(x, eps)); the floor keeps early-training losses finite."""
-    m = np.maximum(t.data, eps)
+def log_floor(t: Tensor) -> Tensor:
+    """log(max(x, LOG_FLOOR)); the floor keeps early-training losses finite."""
+    m = np.maximum(t.data, LOG_FLOOR)
     data = np.log(m)
 
     def backprop(g):
-        _accum(t, g * (t.data >= eps) / m)
+        _accum(t, g * (t.data >= LOG_FLOOR) / m)
 
     return _result(data, (t,), backprop)
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import codec, losses, network
 from . import tensor as T
 from .colorspace import Frame, SubsamplingMode
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, NumericError
 
 
 # Adam settings; learning rate and β1 as in DCGAN (Radford et al. 2016)
@@ -47,14 +47,6 @@ class TrainingPair:
 
     luma: np.ndarray  # (1, 1, H, W)
     chroma: np.ndarray  # (1, 2, H, W)
-
-    def __post_init__(self):
-        if self.luma.ndim != 4 or self.chroma.ndim != 4:
-            raise DimensionError("training pair arrays must be N×C×H×W")
-        if self.luma.shape[2:] != self.chroma.shape[2:]:
-            raise DimensionError(
-                f"luma {self.luma.shape} and chroma {self.chroma.shape} dims differ"
-            )
 
 
 class AdamState:
@@ -129,10 +121,6 @@ def _check_finite(value: float, what: str, step: int) -> float:
     return value
 
 
-def _images(luma_t, chroma_t):
-    return T.concat([luma_t, chroma_t], axis=1)
-
-
 def train(
     gen_store: dict[str, T.Tensor],
     disc_store: dict[str, T.Tensor],
@@ -169,9 +157,11 @@ def train(
         gan_term = zero
         d_loss_val = 0.0
         if w.gan > 0:
+            real = T.concat([luma_t, target_t], axis=1)
+            fake = T.concat([luma_t, gen_out.detach()], axis=1)
             d_loss = losses.discriminator_loss(
-                network.discriminator_forward(disc_store, _images(luma_t, target_t)),
-                network.discriminator_forward(disc_store, _images(luma_t, gen_out.detach())),
+                network.discriminator_forward(disc_store, real),
+                network.discriminator_forward(disc_store, fake),
             )
             d_loss_val = _check_finite(d_loss.item(), "discriminator loss", step)
             for t in disc_params:
@@ -179,7 +169,7 @@ def train(
             T.backward(d_loss)
             adam_step(disc_params, disc_state)
 
-            d_fake = network.discriminator_forward(disc_store, _images(luma_t, gen_out))
+            d_fake = network.discriminator_forward(disc_store, T.concat([luma_t, gen_out], axis=1))
             gan_term = losses.gan_loss(d_fake)
         mse_term = losses.mse_loss(gen_out, target_t) if w.mse > 0 else zero
         content_term = (

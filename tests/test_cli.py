@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,18 @@ class TestErrorPaths:
         assert proc.returncode == 3, proc.stderr
         assert "cannot hold" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_mutated_stream_is_data_error(self, raw_input, tmp_path, capsys):
+        weights = self._trained_weights(raw_input, tmp_path)
+        assert self._encode(raw_input, tmp_path, weights) == 0
+        stream = tmp_path / "s.cgv"
+        blob = bytearray(stream.read_bytes())
+        at = 22 + len(weights.read_bytes())  # magic, header, weights, record type
+        blob[at : at + 4] = b"\xff\xff\xff\x7f"  # frame 0's luma length: past the end
+        stream.write_bytes(bytes(blob))
+        assert run(["decode", "--input", stream, "--out", tmp_path / "d.yuv"]) == 3
+        err = capsys.readouterr().err
+        assert "frame 0 plane 0 payload" in err and "Traceback" not in err
+
     def test_multi_frame_to_single_ppm(self, raw_input, tmp_path):
         weights = tmp_path / "w.cgwt"
         stream = tmp_path / "s.cgv"
@@ -437,6 +450,18 @@ class TestRdReport:
         metrics.write_curve(bad, metrics.curve(points))
         assert run(["rd-report", "--anchor", good, "--proposed", bad]) == 3
         assert "cubic fit" in capsys.readouterr().err
+
+    def test_non_finite_report_is_data_error(self, tmp_path, capsys):
+        good = tmp_path / "a.csv"
+        metrics.write_curve(good, metrics.curve(ref.anchor_points("Silent")))
+        bad = tmp_path / "b.csv"
+        metrics.write_curve(bad, metrics.curve(ref.OVERFLOWING_PROPOSED))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["rd-report", "--anchor", good, "--proposed", bad]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite: bd_rate_percent" in captured.err and "Traceback" not in captured.err
 
     def test_report_to_stdout(self, tmp_path, capsys):
         curve_csv = tmp_path / "c.csv"

@@ -109,7 +109,7 @@ class TestGaussianKernel:
         assert k2[10, 10] == 0.065
 
     def test_neighbor_ratio(self):
-        k = L.gaussian_kernel(0.062, sigma=3.0)
+        k = L.gaussian_kernel(0.062)
         ratio = k[11, 10] / k[10, 10]
         assert abs(ratio - np.exp(-1.0 / 6.0)) < 1e-12
 
@@ -120,10 +120,6 @@ class TestGaussianKernel:
 
     def test_default_size(self):
         assert L.gaussian_kernel(0.062).shape[0] == 21
-
-    def test_even_size_rejected(self):
-        with pytest.raises(ConfigError):
-            L.gaussian_kernel(0.062, size=20)
 
 
 class TestColorLoss:
@@ -150,9 +146,7 @@ class TestColorLoss:
         assert abs(ab - ba) < 1e-15
 
     def test_gradient(self):
-        err = T.grad_check(
-            lambda a, b: L.color_loss(a, b, size=5), [(1, 2, 6, 6), (1, 2, 6, 6)], seed=8
-        )
+        err = T.grad_check(L.color_loss, [(1, 2, 6, 6), (1, 2, 6, 6)], seed=8)
         assert err < 1e-4
 
 
@@ -279,7 +273,7 @@ class TestMixedLoss:
                 L.gan_loss(T.sigmoid(a)),
                 L.mse_loss(a, b),
                 L.content_loss(lambda x: x, a, b),
-                L.color_loss(a, b, size=3),
+                L.color_loss(a, b),
             )
             return total
 

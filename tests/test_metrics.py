@@ -1,6 +1,7 @@
 """Metric checks against analytic values, naive oracles, and published data."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,12 @@ import rd_reference as ref
 
 def plane(arr):
     return cs.Plane(np.asarray(arr, dtype=np.uint8))
+
+
+def all_finite(report) -> bool:
+    numbers = [report["bd_rate_percent"], report["bd_psnr_db"]]
+    numbers += [p[k] for p in report["points"] for k in ("delta_br_percent", "delta_psnr_db")]
+    return all(math.isfinite(v) for v in numbers)
 
 
 class TestPsnr:
@@ -247,6 +254,14 @@ class TestBdMetrics:
         with pytest.raises(DataError, match="cubic fit"):
             metrics.comparison_report(a, huge)
 
+    def test_non_finite_report_is_data_error(self):
+        a, _ = self.silent_curves()
+        extreme = metrics.curve(ref.OVERFLOWING_PROPOSED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is reported, not warned about
+            with pytest.raises(DataError, match="not finite: bd_rate_percent"):
+                metrics.comparison_report(a, extreme)
+
     def test_curve_requires_increasing_rates(self):
         with pytest.raises(DataError):
             metrics.RDCurve(
@@ -304,6 +319,7 @@ class TestCurveIO:
         except ChromaCodecError:
             return
         assert set(report) == {"points", "bd_rate_percent", "bd_psnr_db"}
+        assert all_finite(report)
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.tuples(st.floats(allow_nan=True, allow_infinity=True),
@@ -318,6 +334,7 @@ class TestCurveIO:
         except ChromaCodecError:
             return
         assert set(report) == {"points", "bd_rate_percent", "bd_psnr_db"}
+        assert all_finite(report)
 
     def test_report_json(self):
         anchor = metrics.curve(ref.anchor_points("Silent"))

@@ -37,8 +37,6 @@ class TestConfig:
         assert net.multires_split(12) == (2, 4, 6)
         assert net.multires_split(6) == (1, 2, 3)
         assert net.multires_split(16) == (2, 5, 9)
-        with pytest.raises(ConfigError):
-            net.multires_split(5)
 
 
 class TestMultiresBlock:

@@ -1,16 +1,20 @@
 """GOP structure, container format, and decoder path equivalence."""
 
+import functools
 import os
 import subprocess
 import sys
 import textwrap
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chromacodec import ConfigError, DataError, NumericError
+from chromacodec import ChromaCodecError, ConfigError, DataError, NumericError
 from chromacodec import codec
 from chromacodec import colorspace as cs
 from chromacodec import network, pipeline
@@ -103,6 +107,14 @@ class TestEncode:
         total_bits = len(pipeline.serialize_video(video)) * 8
         assert abs(kbps - total_bits * 30.0 / (1000.0 * 6)) < 1e-12
 
+    def test_weight_header_carries_frame_dims(self):
+        # weights fit any frame size, so a config built for other dims is rebound
+        frames = make_sequence(2)
+        store, cfg = tiny_net(w=32, h=24)
+        video, _ = pipeline.encode_sequence(frames, 32, pipeline.split_gops(2, 6), store, cfg)
+        _, embedded = network.deserialize_weights(video.weight_blob)
+        assert embedded == replace(cfg, width=16, height=16)
+
 
 class TestContainer:
     def test_round_trip_byte_exact(self):
@@ -179,6 +191,72 @@ class TestContainer:
             + report["overhead_bits"]
         )
         assert parts == report["total_bits"]
+
+
+@functools.lru_cache(maxsize=1)
+def tiny_stream():
+    """A valid 4-frame 16×16 stream, GOP 3, attention off: (video, bytes)."""
+    cfg = network.NetworkConfig(width=16, height=16, use_attention=False)
+    store = network.init_generator(cfg, seed=0)
+    frames = make_sequence(4, seed=11)
+    video, _ = pipeline.encode_sequence(frames, 32, pipeline.split_gops(4, 3), store, cfg)
+    return video, pipeline.serialize_video(video)
+
+
+def decode_or_error(parse, data):
+    """Parse then decode; malformed input may raise only ChromaCodecError."""
+    try:
+        video = parse(data)
+        frames = pipeline.decode_sequence(video)
+    except ChromaCodecError:
+        return
+    assert len(frames) == video.frame_count
+
+
+def mutate(data, edits):
+    out = bytearray(data)
+    for pos, value in edits:
+        out[pos % len(out)] = value
+    return bytes(out)
+
+
+class TestMalformedContainers:
+    """Any truncation or byte mutation of a valid stream or weight file
+    parses and decodes, or raises ChromaCodecError: never anything else."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_truncated_stream(self, data):
+        _, stream = tiny_stream()
+        n = data.draw(st.integers(0, len(stream) - 1))
+        decode_or_error(pipeline.deserialize_video, stream[:n])
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_mutated_stream(self, data):
+        video, stream = tiny_stream()
+        records_at = 21 + len(video.weight_blob)  # magic, header, weight file
+        # the weight values are most of the stream; aim at the headers and records too
+        pos = st.one_of(
+            st.integers(0, 64), st.integers(records_at, len(stream) - 1), st.integers()
+        )
+        edits = data.draw(st.lists(st.tuples(pos, st.integers(0, 255)), min_size=1, max_size=4))
+        decode_or_error(pipeline.deserialize_video, mutate(stream, edits))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_truncated_weight_file(self, data):
+        video, _ = tiny_stream()
+        n = data.draw(st.integers(0, len(video.weight_blob) - 1))
+        decode_or_error(lambda blob: replace(video, weight_blob=blob), video.weight_blob[:n])
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(st.tuples(st.one_of(st.integers(0, 40), st.integers()), st.integers(0, 255)),
+                    min_size=1, max_size=4))
+    def test_mutated_weight_file(self, edits):
+        video, _ = tiny_stream()
+        blob = mutate(video.weight_blob, edits)
+        decode_or_error(lambda b: replace(video, weight_blob=b), blob)
 
 
 class TestDecode:

@@ -178,7 +178,7 @@ class TestActivations:
         assert np.allclose(s.data, [0.0, 0.5, 1.0], atol=1e-12)
 
     def test_leaky_relu_values(self):
-        y = T.leaky_relu(T.Tensor([-10.0, 0.0, 10.0]), slope=0.2)
+        y = T.leaky_relu(T.Tensor([-10.0, 0.0, 10.0]))
         assert np.allclose(y.data, [-2.0, 0.0, 10.0])
 
     def test_log_floor_keeps_zero_finite(self):
