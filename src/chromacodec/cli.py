@@ -52,8 +52,8 @@ def _apply_overrides(args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load_frames(path_str: str, args):
-    """Read a PPM file, a directory of PPM files, or headerless raw video.
+def _load_frames(path_str: str, args, mode: str):
+    """Read a PPM file, a directory of PPM files, or headerless raw video in `mode`.
 
     Output is always a 4:4:4 frame list; subsampled raw input is upsampled.
     """
@@ -69,8 +69,7 @@ def _load_frames(path_str: str, args):
         return [cs.rgb_to_ycbcr(cs.read_ppm(path))]
     if not args.width or not args.height:
         raise ConfigError("raw input is headerless: pass --width and --height")
-    mode = cs.SubsamplingMode.parse(args.mode)
-    frames = cs.read_raw(path, args.width, args.height, mode)
+    frames = cs.read_raw(path, args.width, args.height, cs.SubsamplingMode.parse(mode))
     return [f if f.mode is cs.SubsamplingMode.S444 else cs.upsample(f) for f in frames]
 
 
@@ -107,7 +106,7 @@ def cmd_train(args) -> int:
     train_config = trainer.TrainConfig(
         steps=args.steps, seed=args.seed, weights=losses.LossWeights(*args.loss_weights)
     )
-    frames = _load_frames(args.input, args)
+    frames = _load_frames(args.input, args, args.mode)
     net_config = network.NetworkConfig(
         width=frames[0].y.width,
         height=frames[0].y.height,
@@ -129,7 +128,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    frames = _load_frames(args.input, args)
+    frames = _load_frames(args.input, args, args.mode)
     gen, net_config = network.deserialize_weights(Path(args.weights).read_bytes())
     gop = pipeline.split_gops(len(frames), args.gop)
     video, kbps = pipeline.encode_sequence(frames, args.qp, gop, gen, net_config, args.fps)
@@ -148,8 +147,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ref = _load_frames(args.ref, args)
-    test = _load_frames(args.test, args)
+    ref = _load_frames(args.ref, args, args.mode)
+    test = _load_frames(args.test, args, "4:4:4")  # the only layout `decode` writes
     if len(ref) != len(test):
         raise DataError(f"frame count mismatch: ref {len(ref)} vs test {len(test)}")
     rows = []
@@ -234,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="raw file (suffix) or PPM directory (no suffix)")
 
     p = sub.add_parser("eval", help="compare decoded frames against a reference")
-    p.add_argument("--ref", required=True)
-    p.add_argument("--test", required=True)
+    p.add_argument("--ref", required=True, help="source frames; --mode applies to a raw --ref")
+    p.add_argument("--test", required=True, help="decoded frames: raw 4:4:4, PPM file or directory")
     _add_raw_flags(p)
     p.add_argument("--out", help="report JSON (stdout when omitted)")
 

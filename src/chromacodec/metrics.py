@@ -161,6 +161,10 @@ def _overlap(lo_a, hi_a, lo_b, hi_b):
 
 def _avg_poly_diff(x_a, y_a, x_b, y_b):
     """Average (fit_b - fit_a) over the shared x range, cubic fits."""
+    with np.errstate(over="ignore"):
+        cubes_finite = np.isfinite(x_a**3).all() and np.isfinite(x_b**3).all()
+    if not cubes_finite:  # polyfit's x³ column would overflow, and LAPACK would print from C
+        raise DataError("cubic fit of the rd curves failed: x³ overflows")
     try:
         poly_a = np.polyfit(x_a, y_a, 3)
         poly_b = np.polyfit(x_b, y_b, 3)

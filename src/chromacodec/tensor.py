@@ -96,8 +96,9 @@ def _accum(t: Tensor, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, order="C")  # a copy: `add` hands one g to both parents
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -383,27 +384,62 @@ def _mm(a, b):
     return a * b if a.shape[-1] == 1 else a @ b
 
 
-ATTN_BLOCK = 1 << 18  # score entries per block of query rows in `attention`
+# Query rows per block of `attention`: about ATTN_BLOCK score entries (512 KB,
+# within a core's L2 at 64×64), but at least ATTN_MIN_ROWS rows, because every
+# block adds a full-width update to backward's sums, and at 176×144 those
+# updates dominate below that.
+ATTN_BLOCK = 1 << 16
+ATTN_MIN_ROWS = 16
 
 
-def _attn_weights(ft, g, rows):
-    """exp(score - row max) for query `rows`, (n, B, HW), and its row sums (n, 1, B)."""
-    e = _mm(ft[:, rows], g)
-    e -= e.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    return e, e.sum(axis=-1)[:, None, :]
+def _attn_rows(hw):
+    """Query rows per block of `attention` at HW keys."""
+    return min(hw, max(ATTN_MIN_ROWS, ATTN_BLOCK // hw))
+
+
+def _attn_blocks(f, g, step):
+    """Query order and blocks [(rows, keys)] of that order, for one item's f, g (k, HW).
+
+    With k > 1 the queries keep their order and `keys` is None. With k = 1 the
+    score fᵢgⱼ is largest at g's max when fᵢ ≥ 0 and at its min when fᵢ < 0,
+    so the queries are sorted by sign and each block carries the key row
+    shifted by its extreme: fᵢ·(g − g*) is the max-subtracted score, every
+    exponent is ≤ 0 and each row's largest term is exp(0) = 1.
+    """
+    hw = f.shape[1]
+    if f.shape[0] > 1:
+        return slice(None), [(slice(a, min(a + step, hw)), None) for a in range(0, hw, step)]
+    neg = f[0] < 0
+    split = hw - np.count_nonzero(neg)
+    blocks = []
+    for lo, hi, keys in ((0, split, g - g.max()), (split, hw, g - g.min())):
+        blocks += [(slice(a, min(a + step, hi)), keys) for a in range(lo, hi, step)]
+    return np.argsort(neg, kind="stable"), blocks
+
+
+def _attn_weights(fq, g, keys, buf):
+    """exp(score − row max), (B, HW) in `buf`, for queries fq (k, B) against g (k, HW)."""
+    e = buf[: fq.shape[1]]
+    if keys is None:
+        np.matmul(fq.T, g, out=e)
+        e -= e.max(axis=1, keepdims=True)
+    else:
+        np.multiply(fq.T, keys, out=e)
+    return np.exp(e, out=e)
 
 
 def attention(f: Tensor, g: Tensor, h: Tensor) -> Tensor:
     """h @ softmax_keys(fᵀ g)ᵀ for f, g (n, k, HW) and h (n, c, HW) → (n, c, HW).
 
     Query rows are independent, so they are processed in blocks of
-    max(1, ATTN_BLOCK // HW) rows and the HW×HW score matrix never exists
-    whole (Rabe & Staats 2021). As in FlashAttention (Dao et al. 2022),
-    backward recomputes each block's softmax instead of keeping it, the
-    softmax's row sums scale the small c×B and k×B products instead of
-    the B×HW block, and the softmax gradient's row term Σⱼ dPᵢⱼ Pᵢⱼ is
-    read off the output as Σ_c dOᶜᵢ Oᶜᵢ.
+    `_attn_rows(HW)` rows and the HW×HW score matrix never exists whole
+    (Rabe & Staats 2021). Each block's exponentials e go into one reused
+    buffer, and the softmax's row sums z come out of the output product
+    [h; 1] @ eᵀ. As in FlashAttention (Dao et al. 2022), backward recomputes
+    e instead of keeping it, and with r = Σ_c dO∘O (the row term of the
+    softmax gradient) it needs two products per block and never forms the
+    scores' gradient: [dO/z; f∘dO/z; f∘r/z] @ e gives dh and dg, and
+    e @ [g∘h; g]ᵀ gives df.
     """
     fd, gd, hd = f.data, g.data, h.data
     if fd.ndim != 3 or fd.shape != gd.shape:
@@ -414,29 +450,41 @@ def attention(f: Tensor, g: Tensor, h: Tensor) -> Tensor:
         raise DimensionError(
             f"attention: h must be (n, c, HW) with n, HW of f {fd.shape}, got {hd.shape}"
         )
-    hw = fd.shape[2]
-    step = max(1, ATTN_BLOCK // hw)
-    blocks = [slice(a, min(a + step, hw)) for a in range(0, hw, step)]
-    ft = fd.swapaxes(-1, -2)
+    n, k, hw = fd.shape
+    c = hd.shape[1]
+    step = _attn_rows(hw)
+    buf = np.empty((step, hw))  # each block's e; backward takes its own, so the graph keeps none
     out = np.empty(hd.shape)
-    for rows in blocks:
-        e, z = _attn_weights(ft, gd, rows)
-        out[:, :, rows] = (hd @ e.swapaxes(-1, -2)) / z
+    plans = []  # per item: query order, blocks, sorted queries, row sums
+    for b in range(n):
+        order, blocks = _attn_blocks(fd[b], gd[b], step)
+        fq = fd[b][:, order]
+        hx = np.concatenate([hd[b], np.ones((1, hw))])
+        r = np.empty((c + 1, hw))
+        for rows, keys in blocks:
+            r[:, rows] = hx @ _attn_weights(fq[:, rows], gd[b], keys, buf).T
+        out[b][:, order] = r[:c] / r[c]
+        plans.append((order, blocks, fq, r[c].copy()))
 
     def backprop(gout):
-        row_dot = (gout * out).sum(axis=1, keepdims=True)  # (n, 1, HW)
-        df = np.empty_like(fd)
-        dg = np.zeros_like(gd)
-        dh = np.zeros_like(hd)
-        for rows in blocks:
-            e, z = _attn_weights(ft, gd, rows)
-            go = gout[:, :, rows] / z
-            dh += go @ e
-            ds = go.swapaxes(-1, -2) @ hd  # dP / z
-            ds -= (row_dot[:, :, rows] / z).swapaxes(-1, -2)
-            ds *= e  # P ∘ (dP - row_dot): the scores' gradient
-            df[:, :, rows] = gd @ ds.swapaxes(-1, -2)
-            dg += fd[:, :, rows] @ ds
+        df, dg, dh = np.empty_like(fd), np.empty_like(gd), np.empty_like(hd)
+        buf = np.empty((step, hw))
+        for b, (order, blocks, fq, z) in enumerate(plans):
+            go = gout[b][:, order] / z
+            rz = (gout[b] * out[b]).sum(axis=0)[order] / z
+            lhs = np.concatenate([go, (fq[:, None] * go).reshape(k * c, hw), fq * rz])
+            rhs = np.concatenate([(gd[b][:, None] * hd[b]).reshape(k * c, hw), gd[b]]).T
+            acc, part = np.zeros((2, len(lhs), hw))
+            dfq = np.empty((k, hw))
+            for rows, keys in blocks:
+                e = _attn_weights(fq[:, rows], gd[b], keys, buf)
+                acc += np.matmul(lhs[:, rows], e, out=part)
+                q = e @ rhs
+                dfq[:, rows] = (go[:, rows] * q[:, : k * c].T.reshape(k, c, -1)).sum(axis=1)
+                dfq[:, rows] -= rz[rows] * q[:, k * c :].T
+            dh[b] = acc[:c]
+            dg[b] = (acc[c : c + k * c].reshape(k, c, hw) * hd[b]).sum(axis=1) - acc[c + k * c :]
+            df[b][:, order] = dfq
         _accum(f, df)
         _accum(g, dg)
         _accum(h, dh)

@@ -355,15 +355,33 @@ def composite_attention(f, g, h):
 
 
 class TestAttention:
-    # (n, k, c, HW, blocks of query rows): HW > 512 runs a full and a
-    # partial block; k = 1 takes the outer-product path; n = 2 the batch axis
+    # (n, k, c, HW, blocks of query rows, queries): every case spans at least
+    # two blocks with a partial last one; k = 1 sorts the queries by sign and
+    # shifts the keys by their max or min, so it runs with mixed-sign,
+    # non-negative, negative and partly zero queries; n = 2 the batch axis
     @pytest.mark.parametrize(
-        "n,k,c,hw,blocks", [(1, 2, 12, 600, 2), (2, 1, 4, 520, 2), (2, 3, 5, 70, 1)]
+        "n,k,c,hw,blocks,queries",
+        [
+            (1, 1, 8, 600, 6, "mixed"),
+            (1, 1, 8, 600, 6, "nonnegative"),
+            (1, 1, 8, 600, 6, "negative"),
+            (1, 1, 8, 600, 6, "zeros"),
+            (1, 2, 12, 600, 6, "mixed"),
+            (2, 1, 4, 520, 5, "mixed"),
+            (2, 3, 5, 300, 2, "mixed"),
+        ],
     )
-    def test_matches_composite_graph(self, n, k, c, hw, blocks):
-        assert -(-hw // (T.ATTN_BLOCK // hw)) == blocks
+    def test_matches_composite_graph(self, n, k, c, hw, blocks, queries):
+        rows = T._attn_rows(hw)
+        assert -(-hw // rows) == blocks and hw % rows
         rng = np.random.default_rng(hw)
         arrays = [rng.standard_normal(s) for s in ((n, k, hw), (n, k, hw), (n, c, hw))]
+        if queries == "nonnegative":
+            arrays[0] = np.abs(arrays[0])
+        elif queries == "negative":
+            arrays[0] = -np.abs(arrays[0])
+        elif queries == "zeros":
+            arrays[0][..., ::3] = 0.0
         proj = rng.standard_normal((n, c, hw))
         results = []
         for fn in (T.attention, composite_attention):
@@ -373,6 +391,21 @@ class TestAttention:
             results.append([out.data] + [t.grad for t in leaves])
         for got, want in zip(*results):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_large_scores_stay_finite(self, k):
+        # scores reach |f_i g_j| ≈ 1e3, where exp of an unshifted score overflows
+        rng = np.random.default_rng(k)
+        f, g = (12.0 * rng.standard_normal((1, k, 300)) for _ in range(2))
+        h = rng.standard_normal((1, 4, 300))
+        scores = f[0].T @ g[0]
+        assert 700 < np.max(np.abs(scores)) < 2000
+        with np.errstate(over="raise"):
+            got = T.attention(T.Tensor(f), T.Tensor(g), T.Tensor(h)).data
+        p = np.exp(scores - scores.max(axis=1, keepdims=True))
+        want = h[0] @ (p / p.sum(axis=1, keepdims=True)).T
+        assert np.isfinite(got).all()
+        assert np.max(np.abs(got[0] - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_gradient(self):
         err = T.grad_check(T.attention, [(1, 2, 37), (1, 2, 37), (1, 3, 37)], seed=10)
