@@ -1,7 +1,10 @@
 """Block-transform intra codec for single 8-bit planes.
 
-Encodes a plane as 8×8 orthonormal DCT blocks with uniform scalar
-quantization and exponential-Golomb entropy coding. It is deliberately
+Encodes a uint8 plane as 8×8 orthonormal DCT blocks with uniform scalar
+quantization and exponential-Golomb entropy coding. The encoder builds
+the run-level codewords of all blocks in one NumPy pass; the scalar
+BitWriter / exp_golomb_write pair writes the same bits one codeword at
+a time, and the decoder reads them back that way. It is deliberately
 small: no prediction, no in-loop filters. Its job is to turn planes
 into measurable bit counts whose rate and distortion move the right way
 with QP, and to decode them back deterministically. The same plane and
@@ -140,8 +143,9 @@ def exp_golomb_read(reader: BitReader) -> int:
     return reader.read(one - pos + 1) - 1
 
 
-def _signed_to_code(z: int) -> int:
-    return 2 * abs(z) - (1 if z > 0 else 0)
+def _signed_to_code(z):
+    # 1→1, -1→2, 2→3, ...; elementwise on integer arrays too
+    return 2 * abs(z) - (z > 0)
 
 
 def _code_to_signed(c: int) -> int:
@@ -174,9 +178,43 @@ def _from_blocks(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
     )
 
 
+# _TAIL[w] keeps the last w of a codeword's 32 unpacked bits
+_TAIL = np.arange(32) >= 32 - np.arange(33)[:, None]
+_CHUNK_BLOCKS = 512  # bounds the 64 bytes per codeword that _codeword_bits expands into
+
+
+def _codeword_bits(scans: np.ndarray) -> np.ndarray:
+    """The exp-Golomb bits, one uint8 each, of a stack of zigzag scans.
+
+    Each block codes (run, level) per nonzero coefficient, then an EOB.
+    All blocks are coded in one array pass, without a loop per codeword.
+    """
+    coded = np.zeros((len(scans), _EOB + 1), dtype=np.int64)
+    coded[:, :_EOB] = scans
+    mask = coded != 0
+    mask[:, _EOB] = True  # column 64 is the block's EOB
+    at = np.flatnonzero(mask)  # each block's nonzeros, then its EOB
+    idx = at % (_EOB + 1)
+    z = coded.ravel()[at]
+    eob = idx == _EOB
+    prev = np.empty_like(idx)
+    prev[0] = -1
+    prev[1:] = np.where(eob[:-1], -1, idx[:-1])  # runs restart after each EOB
+    # per entry the codewords of run and level; an EOB entry codes only 64
+    n = np.empty((len(idx), 2), dtype=np.uint32)
+    n[:, 0] = np.where(eob, _EOB, idx - prev - 1) + 1
+    n[:, 1] = _signed_to_code(z) + 1
+    width = 2 * np.frexp(n)[1] - 1  # frexp's exponent is n.bit_length(), exactly
+    width[eob, 1] = 0
+    bits = np.unpackbits(n.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
+    return bits[_TAIL[width.ravel()]]
+
+
 def encode_plane(plane: np.ndarray, params: CodecParams) -> PlanePayload:
-    """Encode one 8-bit plane; blocks in raster order, one EOB each."""
+    """Encode one uint8 plane; blocks in raster order, one EOB each."""
     arr = np.asarray(plane)
+    if arr.dtype != np.uint8:  # which also keeps every codeword within 23 bits
+        raise DataError(f"encode_plane codes uint8 planes, got {arr.dtype}")
     if arr.ndim != 2 or arr.size == 0:
         raise DataError(f"encode_plane needs a non-empty 2-D plane, got shape {arr.shape}")
     padded = _pad_to_blocks(arr.astype(np.float64) - 128.0)
@@ -185,17 +223,10 @@ def encode_plane(plane: np.ndarray, params: CodecParams) -> PlanePayload:
     # round half away from zero so the quantizer is symmetric in sign
     q = np.sign(coefs) * np.floor(np.abs(coefs) / step + 0.5)
     scans = q[:, _ZZ_ROWS, _ZZ_COLS].astype(np.int64)
-
-    writer = BitWriter()
-    for scan in scans:
-        nz = np.nonzero(scan)[0]
-        prev = -1
-        for idx in nz:
-            exp_golomb_write(writer, int(idx) - prev - 1)  # run of zeros
-            exp_golomb_write(writer, _signed_to_code(int(scan[idx])))
-            prev = int(idx)
-        exp_golomb_write(writer, _EOB)
-    return writer.payload()
+    bits = np.concatenate(
+        [_codeword_bits(scans[i : i + _CHUNK_BLOCKS]) for i in range(0, len(scans), _CHUNK_BLOCKS)]
+    )
+    return PlanePayload(np.packbits(bits).tobytes(), len(bits))
 
 
 def decode_plane(payload: PlanePayload, dims, params: CodecParams) -> np.ndarray:

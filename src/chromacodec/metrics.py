@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -166,9 +167,12 @@ def _avg_poly_diff(x_a, y_a, x_b, y_b):
     if not cubes_finite:  # polyfit's x³ column would overflow, and LAPACK would print from C
         raise DataError("cubic fit of the rd curves failed: x³ overflows")
     try:
-        poly_a = np.polyfit(x_a, y_a, 3)
-        poly_b = np.polyfit(x_b, y_b, 3)
-    except np.linalg.LinAlgError as exc:  # values too large for the least-squares fit
+        with warnings.catch_warnings():
+            # fewer than 4 distinct x make the cubic's fit rank-deficient
+            warnings.simplefilter("error", np.exceptions.RankWarning)
+            poly_a = np.polyfit(x_a, y_a, 3)
+            poly_b = np.polyfit(x_b, y_b, 3)
+    except (np.linalg.LinAlgError, np.exceptions.RankWarning) as exc:
         raise DataError(f"cubic fit of the rd curves failed: {exc}") from exc
     lo, hi = _overlap(x_a.min(), x_a.max(), x_b.min(), x_b.max())
     anti_a, anti_b = np.polyint(poly_a), np.polyint(poly_b)

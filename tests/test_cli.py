@@ -463,6 +463,19 @@ class TestRdReport:
         errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "cubic fit" in errors[0] and "DLASCL" not in proc.stderr
 
+    def test_rank_deficient_bd_fit_is_data_error(self, tmp_path, capsys):
+        # three equal PSNRs leave two distinct x for the cubic rate fit
+        good = tmp_path / "a.csv"
+        metrics.write_curve(good, metrics.curve(ref.anchor_points("Silent")))
+        bad = tmp_path / "b.csv"
+        bad.write_text(",100,30.0\n,200,30.0\n,400,30.0\n,800,31.0\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["rd-report", "--anchor", good, "--proposed", bad]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cubic fit" in captured.err and "Traceback" not in captured.err
+
     def test_non_finite_report_is_data_error(self, tmp_path, capsys):
         good = tmp_path / "a.csv"
         metrics.write_curve(good, metrics.curve(ref.anchor_points("Silent")))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,36 @@ def golomb_bits(value):
     return "".join(
         str((p.data[i >> 3] >> (7 - (i & 7))) & 1) for i in range(p.bit_length)
     )
+
+
+def loop_encode_plane(plane, params):
+    """The per-codeword encoder that the array pass replaced: the oracle."""
+    padded = codec._pad_to_blocks(plane.astype(np.float64) - 128.0)
+    coefs = codec.dct8(codec._to_blocks(padded))
+    q = np.sign(coefs) * np.floor(np.abs(coefs) / params.step + 0.5)
+    writer = codec.BitWriter()
+    for scan in q[:, codec._ZZ_ROWS, codec._ZZ_COLS].astype(np.int64):
+        prev = -1
+        for idx in np.nonzero(scan)[0]:
+            codec.exp_golomb_write(writer, int(idx) - prev - 1)
+            codec.exp_golomb_write(writer, codec._signed_to_code(int(scan[idx])))
+            prev = int(idx)
+        codec.exp_golomb_write(writer, codec._EOB)
+    return writer.payload()
+
+
+@st.composite
+def planes(draw):
+    h, w = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(["noise", "constant", "ramp"]))
+    if kind == "noise":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return rng.integers(0, 256, (h, w), dtype=np.uint8)
+    if kind == "constant":
+        return np.full((h, w), draw(st.integers(0, 255)), dtype=np.uint8)
+    dy, dx = draw(st.integers(-16, 16)), draw(st.integers(-16, 16))
+    ramp = draw(st.integers(0, 255)) + dy * np.arange(h)[:, None] + dx * np.arange(w)
+    return np.clip(ramp, 0, 255).astype(np.uint8)
 
 
 def golomb_codeword(value):
@@ -238,6 +269,39 @@ class TestPlaneCodec:
             codec.encode_plane(grad, params).bit_length
             < codec.encode_plane(noise, params).bit_length
         )
+
+    @settings(deadline=None, max_examples=150)
+    @given(planes(), st.integers(0, 51))
+    def test_matches_per_codeword_encoder(self, plane, qp):
+        params = codec.CodecParams(qp=qp)
+        assert codec.encode_plane(plane, params) == loop_encode_plane(plane, params)
+
+    @pytest.mark.parametrize(
+        "plane",
+        [
+            np.full((8, 8), np.nan),
+            np.full((8, 8), 1e30),
+            np.full((8, 8), 128.0),
+            np.full((8, 8), -5000, dtype=np.int32),
+            np.full((8, 8), 128, dtype=np.int32),
+        ],
+        ids=["nan", "1e30", "float", "int32-out-of-range", "int32-in-range"],
+    )
+    def test_non_uint8_plane_rejected(self, plane):
+        with pytest.raises(DataError, match="uint8"):
+            codec.encode_plane(plane, codec.CodecParams(qp=27))
+
+    def test_peak_memory_bounded(self):
+        # 41,788,516 bytes is the traced peak of the per-codeword encoder
+        # on this plane, whose 4096 blocks take 526,608 codewords
+        plane = np.random.default_rng(29).integers(0, 256, (512, 512), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            codec.encode_plane(plane, codec.CodecParams(qp=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 41_788_516
 
     def test_empty_plane_rejected(self):
         with pytest.raises(DataError):
