@@ -32,14 +32,15 @@ loss = T.mean(T.square(out))
 T.backward(loss)
 print("non-zero kernel grads:", int(np.count_nonzero(kernel.grad)), "of", kernel.grad.size)
 
-# Transposed convolution with the same kernel array is the exact adjoint:
-# <conv(x), probe> equals <x, conv_t(probe)> to machine precision. The
-# stride-2 forward never touches the last row and column of an 8x8 input,
-# so the adjoint image is 7x7 and the comparison slices x to match.
-fwd = T.conv2d(image, kernel, None, stride=2, padding=0)
+# Transposed convolution with the same kernel array and zero biases is the
+# exact adjoint: <conv(x), probe> equals <x, conv_t(probe)> to machine
+# precision. The stride-2 forward never touches the last row and column of
+# an 8x8 input, so the adjoint image is 7x7 and the comparison slices x to
+# match.
+fwd = T.conv2d(image, kernel, bias, stride=2, padding=0)
 probe = T.Tensor(rng.standard_normal(fwd.shape))
 inner_fwd = float(np.sum(fwd.data * probe.data))
-back = T.conv_transpose2d(probe, kernel, None, stride=2)
+back = T.conv_transpose2d(probe, kernel, T.Tensor(np.zeros(2)), stride=2)
 h, w = back.shape[2:]
 inner_back = float(np.sum(image.data[:, :, :h, :w] * back.data))
 print(f"adjoint identity: {inner_fwd:.6f} vs {inner_back:.6f}")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .colorspace import round_clamp_u8
 from .errors import ConfigError, DataError
 
 BLOCK = 8
@@ -260,5 +261,4 @@ def decode_plane(payload: PlanePayload, dims, params: CodecParams) -> np.ndarray
     coefs = np.zeros((nblocks, BLOCK, BLOCK))
     coefs[:, _ZZ_ROWS, _ZZ_COLS] = scans * params.step
     padded = _from_blocks(idct8(coefs), ph, pw) + 128.0
-    pixels = np.clip(np.floor(padded + 0.5), 0, 255).astype(np.uint8)
-    return pixels[:height, :width]
+    return round_clamp_u8(padded)[:height, :width]

@@ -12,6 +12,7 @@ across platforms.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +20,9 @@ import numpy as np
 from .errors import ConfigError, DataError, DimensionError
 
 
-def _round_half_up(x):
-    return np.floor(x + 0.5)
-
-
-def _round_clamp_u8(x):
-    return np.clip(_round_half_up(x), 0, 255).astype(np.uint8)
+def round_clamp_u8(x):
+    """Round half up, clamp to [0, 255] and cast: the package's one float → uint8 rule."""
+    return np.clip(np.floor(x + 0.5), 0, 255).astype(np.uint8)
 
 
 class SubsamplingMode(enum.Enum):
@@ -123,7 +121,7 @@ def rgb_to_ycbcr(rgb: np.ndarray) -> Frame:
     ycc = f @ _FWD.T
     ycc[:, :, 1] += 128.0
     ycc[:, :, 2] += 128.0
-    out = _round_clamp_u8(ycc)
+    out = round_clamp_u8(ycc)
     return Frame(
         Plane(out[:, :, 0]), Plane(out[:, :, 1]), Plane(out[:, :, 2]), SubsamplingMode.S444
     )
@@ -141,7 +139,7 @@ def ycbcr_to_rgb(frame: Frame) -> np.ndarray:
         ],
         axis=2,
     )
-    return _round_clamp_u8(ycc @ _INV.T)
+    return round_clamp_u8(ycc @ _INV.T)
 
 
 def _box_down(plane: Plane) -> Plane:
@@ -150,7 +148,7 @@ def _box_down(plane: Plane) -> Plane:
     if a.shape[0] % 2 or a.shape[1] % 2:
         a = np.pad(a, ((0, a.shape[0] % 2), (0, a.shape[1] % 2)), mode="edge")
     avg = (a[0::2, 0::2] + a[0::2, 1::2] + a[1::2, 0::2] + a[1::2, 1::2]) / 4.0
-    return Plane(_round_clamp_u8(avg))
+    return Plane(round_clamp_u8(avg))
 
 
 def subsample(frame: Frame) -> Frame:
@@ -232,40 +230,32 @@ def write_ppm(path, rgb: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
+# magic, width, height and maxval separated by whitespace or '#' comments to
+# end of line, then one whitespace byte; the dims' signs reach the range check
+_PPM_HEADER = re.compile(
+    rb"P6(?:\s|#[^\n]*\n)+(-?\d+)(?:\s|#[^\n]*\n)+(-?\d+)(?:\s|#[^\n]*\n)+(\d+)\s"
+)
+
+
 def read_ppm(path) -> np.ndarray:
     """Read a binary PPM (P6) file into an H×W×3 8-bit array."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P6"):
         raise DataError("not a P6 PPM file")
-    # header = magic, width, height, maxval as whitespace-separated tokens,
-    # with '#' comments allowed between them
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DataError("truncated PPM header")
-        tokens.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        raise DataError("bad PPM header: want P6, width, height and maxval as decimal integers")
     try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
+        width, height, maxval = (int(t) for t in header.groups())
+    except ValueError as exc:  # more digits than int() converts
         raise DataError(f"bad PPM header field: {exc}") from exc
     if maxval != 255:
         raise DataError(f"only maxval 255 PPM supported, got {maxval}")
     if width < 1 or height < 1:
         raise DataError(f"PPM dims must be at least 1×1, got {width}×{height}")
     need = width * height * 3
-    body = data[pos : pos + need]
+    body = data[header.end() : header.end() + need]
     if len(body) != need:
         raise DataError(f"PPM body has {len(body)} bytes, expected {need}")
     return np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3).copy()

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .colorspace import Frame
 from .errors import ConfigError, DataError, DimensionError
@@ -50,40 +51,32 @@ def psnr_frame(a: Frame, b: Frame) -> dict:
     return vals
 
 
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    half = size // 2
-    k = np.arange(-half, half + 1, dtype=np.float64)
-    one_d = np.exp(-(k * k) / (2.0 * sigma * sigma))
-    win = np.outer(one_d, one_d)
-    return win / win.sum()
+# the 11-tap, σ 1.5 Gaussian of Wang et al. 2004, unit sum; its 11×11
+# window is the outer product, so SSIM filters rows and then columns
+_SSIM_TAPS = np.exp(-np.arange(-5.0, 6.0) ** 2 / (2.0 * 1.5**2))
+_SSIM_TAPS /= _SSIM_TAPS.sum()
 
 
-def _windows2d(a: np.ndarray, size: int) -> np.ndarray:
-    s = a.strides
-    oh, ow = a.shape[0] - size + 1, a.shape[1] - size + 1
-    return np.lib.stride_tricks.as_strided(
-        a, shape=(oh, ow, size, size), strides=(s[0], s[1], s[0], s[1]), writeable=False
-    )
+def _ssim_filter(x: np.ndarray) -> np.ndarray:
+    """Valid-region correlation with outer(_SSIM_TAPS, _SSIM_TAPS)."""
+    rows = sliding_window_view(x, len(_SSIM_TAPS), axis=1) @ _SSIM_TAPS
+    return sliding_window_view(rows, len(_SSIM_TAPS), axis=0) @ _SSIM_TAPS
 
 
-def ssim(a, b, size: int = 11, sigma: float = 1.5) -> float:
+def ssim(a, b) -> float:
     """Structural similarity over the valid (fully covered) region."""
     da, db = _plane_data(a), _plane_data(b)
     if da.shape != db.shape:
         raise DimensionError(f"ssim shapes differ: {da.shape} vs {db.shape}")
+    size = len(_SSIM_TAPS)
     if da.shape[0] < size or da.shape[1] < size:
         raise DimensionError(f"plane {da.shape} smaller than the {size}×{size} window")
-    win = _gaussian_window(size, sigma)
     c1 = (0.01 * 255.0) ** 2
     c2 = (0.03 * 255.0) ** 2
-
-    def filt(x):
-        return np.einsum("hwij,ij->hw", _windows2d(x, size), win, optimize=True)
-
-    mu_a, mu_b = filt(da), filt(db)
-    var_a = filt(da * da) - mu_a * mu_a
-    var_b = filt(db * db) - mu_b * mu_b
-    cov = filt(da * db) - mu_a * mu_b
+    mu_a, mu_b = _ssim_filter(da), _ssim_filter(db)
+    var_a = _ssim_filter(da * da) - mu_a * mu_a
+    var_b = _ssim_filter(db * db) - mu_b * mu_b
+    cov = _ssim_filter(da * db) - mu_a * mu_b
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import tensor as T
 from .binio import Reader
+from .colorspace import round_clamp_u8
 from .errors import ConfigError, DataError, DimensionError, NumericError
 
 ATTN_KEY_DIVISOR = 8  # f and g project channels down to ceil(C/8)
@@ -265,7 +266,7 @@ def chroma_to_unit(c: np.ndarray) -> np.ndarray:
 
 def unit_to_chroma(u: np.ndarray) -> np.ndarray:
     """[-1, 1] network output → 8-bit chroma samples."""
-    return np.clip(np.floor(128.0 + 127.5 * np.asarray(u) + 0.5), 0, 255).astype(np.uint8)
+    return round_clamp_u8(128.0 + 127.5 * np.asarray(u))
 
 
 # ---------------------------------------------------------------------------

@@ -576,31 +576,28 @@ def _check_conv(op, xd, wd, b, cin_axis):
         raise DimensionError(
             f"{op}: input channels {xd.shape[1]} (axis 1) != kernel Cin {wd.shape[cin_axis]}"
         )
-    if b is not None and b.data.shape != (wd.shape[cout_axis],):
+    if b.data.shape != (wd.shape[cout_axis],):
         raise DimensionError(
             f"{op}: bias shape {b.data.shape} != ({wd.shape[cout_axis]},) (axis {cout_axis})"
         )
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution, weights (Cout, Cin, k, k), square kernels."""
     xd, wd = x.data, w.data
     _check_conv("conv2d", xd, wd, b, cin_axis=1)
     k = wd.shape[2]
     out = _conv_fwd(xd, wd, stride, padding)
-    if b is not None:
-        out += b.data.reshape(1, -1, 1, 1)
-    parents = (x, w) if b is None else (x, w, b)
+    out += b.data.reshape(1, -1, 1, 1)
 
     def backprop(g):
-        if b is not None:
-            _accum(b, g.sum(axis=(0, 2, 3)))
+        _accum(b, g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
             _accum(w, _conv_dw(xd, g, k, stride, padding))
         if x.requires_grad:
             _accum(x, _conv_dx(g, wd, xd.shape, stride, padding))
 
-    return _result(out, parents, backprop)
+    return _result(out, (x, w, b), backprop)
 
 
 def _band(n, taps):
@@ -634,7 +631,7 @@ def separable_filter(x: Tensor, taps) -> Tensor:
     return _result(rows @ xd @ cols.T, (x,), backprop)
 
 
-def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
+def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     """Transposed convolution, weights (Cin, Cout, k, k), no padding.
 
     Output spatial size is (H-1)·stride + k. The op is the adjoint of the
@@ -649,19 +646,16 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) ->
     k = wd.shape[2]
     out_shape = (n, wd.shape[1], (h - 1) * stride + k, (wdt - 1) * stride + k)
     out = _conv_dx(xd, wd, out_shape, stride, 0)
-    if b is not None:
-        out += b.data.reshape(1, -1, 1, 1)
-    parents = (x, w) if b is None else (x, w, b)
+    out += b.data.reshape(1, -1, 1, 1)
 
     def backprop(g):
-        if b is not None:
-            _accum(b, g.sum(axis=(0, 2, 3)))
+        _accum(b, g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
             _accum(w, _conv_dw(g, xd, k, stride, 0))
         if x.requires_grad:
             _accum(x, _conv_fwd(g, wd, stride, 0))
 
-    return _result(out, parents, backprop)
+    return _result(out, (x, w, b), backprop)
 
 
 def maxpool2(x: Tensor) -> Tensor:

@@ -237,6 +237,25 @@ class TestIO:
         with pytest.raises(DataError, match="at least 1"):
             cs.read_ppm(path)
 
+    # int() alone takes underscores and a plus sign, a token loop reads
+    # "P612" as the magic followed by a width of 12, and int() refuses more
+    # than 4300 digits with a ValueError
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"P6\n1_0 2\n255\n",
+            b"P6\n+12 2\n255\n",
+            b"P612 10 255\n",
+            b"P6 " + b"1" * 5000 + b" 1 255\n",
+        ],
+        ids=["underscore", "plus", "no-separator", "5000-digits"],
+    )
+    def test_ppm_header_fields_are_plain_decimal(self, tmp_path, header):
+        path = tmp_path / "h.ppm"
+        path.write_bytes(header + b"\x00" * 360)  # enough body for each misread header
+        with pytest.raises(DataError):
+            cs.read_ppm(path)
+
     @settings(deadline=None, max_examples=300)
     @given(
         st.lists(

@@ -23,7 +23,7 @@ def two_filter_color_loss(gen, target, theta_gen=0.062, theta_target=0.065):
         w = np.zeros((c, c, 21, 21))
         for i in range(c):
             w[i, i] = L.gaussian_kernel(theta)
-        return T.conv2d(x, T.Tensor(w), None, stride=1, padding=10)
+        return T.conv2d(x, T.Tensor(w), T.Tensor(np.zeros(c)), stride=1, padding=10)
 
     return T.mean(T.square(blur(gen, theta_gen) - blur(target, theta_target)))
 

@@ -1,6 +1,7 @@
 """Metric checks against analytic values, naive oracles, and published data."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -119,6 +120,19 @@ class TestSsim:
     def test_small_plane_rejected(self):
         with pytest.raises(DimensionError):
             metrics.ssim(plane(np.zeros((8, 8))), plane(np.zeros((8, 8))))
+
+    def test_peak_memory_is_a_few_planes(self):
+        # two 1-D passes keep a few float64 planes live; copying out every
+        # 11×11 window would hold 121 of them
+        rng = np.random.default_rng(5)
+        a, b = rng.integers(0, 256, (2, 720, 1280), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            metrics.ssim(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * a.size * 8
 
 
 class TestDeltas:

@@ -216,16 +216,16 @@ class TestConv:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((1, 1, 5, 5))
         w = np.ones((1, 1, 1, 1))
-        got = T.conv2d(T.Tensor(x), T.Tensor(w), None, 1, 0).data
+        got = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(np.zeros(1)), 1, 0).data
         assert np.array_equal(got, x)
 
     def test_channel_mismatch_raises(self):
         x = T.Tensor(np.zeros((1, 3, 8, 8)))
         w = T.Tensor(np.zeros((4, 2, 3, 3)))
-        with pytest.raises(DimensionError):
-            T.conv2d(x, w, None, 1, 1)
+        with pytest.raises(DimensionError, match="kernel Cin 2"):
+            T.conv2d(x, w, T.Tensor(np.zeros(4)), 1, 1)
         with pytest.raises(DimensionError, match="kernel Cin 4"):
-            T.conv_transpose2d(x, w, None, 2)
+            T.conv_transpose2d(x, w, T.Tensor(np.zeros(2)), 2)
         with pytest.raises(DimensionError, match=r"bias shape \(4,\) != \(2,\) \(axis 1\)"):
             T.conv_transpose2d(T.Tensor(np.zeros((1, 4, 8, 8))), w, T.Tensor(np.zeros(4)), 2)
 
@@ -244,7 +244,7 @@ class TestConv:
     def test_transpose_output_size(self):
         x = T.Tensor(np.zeros((1, 3, 5, 7)))
         w = T.Tensor(np.zeros((3, 2, 4, 4)))
-        out = T.conv_transpose2d(x, w, None, stride=2)
+        out = T.conv_transpose2d(x, w, T.Tensor(np.zeros(2)), stride=2)
         assert out.shape == (1, 2, 12, 16)
 
     def test_transpose_is_adjoint_of_conv(self):
@@ -253,10 +253,12 @@ class TestConv:
         for stride, k in [(1, 3), (2, 2), (2, 4)]:
             x = rng.standard_normal((2, 3, 8, 8))
             w = rng.standard_normal((5, 3, k, k))
-            fwd = T.conv2d(T.Tensor(x), T.Tensor(w), None, stride, 0).data
+            fwd = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(np.zeros(5)), stride, 0).data
             y = rng.standard_normal(fwd.shape)
             # adjoint pairing uses the same (Cout, Cin, k, k) array as conv weights
-            back = T.conv_transpose2d(T.Tensor(y), T.Tensor(np.ascontiguousarray(w)), None, stride)
+            back = T.conv_transpose2d(
+                T.Tensor(y), T.Tensor(np.ascontiguousarray(w)), T.Tensor(np.zeros(3)), stride
+            )
             lhs = float((fwd * y).sum())
             rhs = float((x * back.data).sum())
             assert abs(lhs - rhs) / max(abs(lhs), 1.0) < 1e-10
@@ -425,7 +427,7 @@ def dense_separable_filter(x, taps):
     w = np.zeros((c, c, k, k))
     for i in range(c):
         w[i, i] = np.outer(taps, taps)
-    return T.conv2d(x, T.Tensor(w), None, stride=1, padding=k // 2)
+    return T.conv2d(x, T.Tensor(w), T.Tensor(np.zeros(c)), stride=1, padding=k // 2)
 
 
 class TestSeparableFilter:
