@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gop", type=int, default=6)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--channels", type=int, default=8, help="base channel width (at least 6)")
+    p.add_argument("--channels", type=int, default=8, help="base channel width, 6 to 64")
     p.add_argument("--no-attention", action="store_true")
     p.add_argument("--no-glrc", action="store_true")
     p.add_argument("--loss-group", choices=sorted(losses.LOSS_GROUPS))

@@ -54,8 +54,9 @@ class NetworkConfig:
             raise ConfigError(
                 f"width and height must be divisible by 8, got {self.width}×{self.height}"
             )
-        if self.base_channels < 6:  # the narrowest multires block splits 6 ways
-            raise ConfigError(f"base_channels must be ≥ 6, got {self.base_channels}")
+        # 6: the narrowest multires block splits 6 ways; 64: 2.1 M parameters
+        if not 6 <= self.base_channels <= 64:
+            raise ConfigError(f"base_channels must be in 6..64, got {self.base_channels}")
 
 
 def _rng_for(seed: int, name: str) -> np.random.Generator:

@@ -2,9 +2,11 @@
 
 The encoder keeps full 4:2:0 color only on anchor frames (one per
 GOP); every other frame is transmitted as a single intra-coded luma
-plane. The generator weights travel in-band so the decoder can restore
-chrominance for the luma-only frames: anchors decode conventionally,
-non-anchors decode their luma and get chroma from the colorizer.
+plane. A frame's kind is a function of its index and the GOP size, so
+the stream stores no per-frame kind. The generator weights travel
+in-band so the decoder can restore chrominance for the luma-only frames:
+every frame decodes its luma, then anchors decode their two 4:2:0
+chroma planes and the others get chroma from the colorizer.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from .errors import ConfigError, DataError, DimensionError, NumericError
 ANCHOR = 0
 LUMA_ONLY = 1
 
-_S420_CODE = 2  # the stream header's subsample byte: anchors are always 4:2:0
-
 
 @dataclass(frozen=True)
 class GopStructure:
@@ -42,7 +42,7 @@ class GopStructure:
     frame_count: int
 
     def __post_init__(self):
-        if not 1 <= self.gop_size <= 255:  # the CGV1 header stores it in one byte
+        if not 1 <= self.gop_size <= 255:  # the stream header stores it in one byte
             raise ConfigError(f"gop_size must be in 1..255, got {self.gop_size}")
         if self.frame_count < 1:
             raise ConfigError(f"frame_count must be ≥ 1, got {self.frame_count}")
@@ -62,7 +62,7 @@ def split_gops(frame_count: int, gop_size: int = 6) -> GopStructure:
 
 @dataclass(frozen=True)
 class FrameRecord:
-    kind: int  # ANCHOR or LUMA_ONLY
+    kind: int  # ANCHOR or LUMA_ONLY, as GopStructure.is_anchor gives it
     payloads: tuple  # PlanePayload per stored plane (Y[, Cb, Cr])
 
 
@@ -116,27 +116,20 @@ def encode_sequence(frames, qp: int, gop: GopStructure, gen_store, net_config, f
     return video, bitrate_report(video, fps)["kbps"]
 
 
-def _decode_anchor(record, width, height, params):
-    cdims = chroma_dims(width, height, SubsamplingMode.S420)
-    y = codec.decode_plane(record.payloads[0], (width, height), params)
-    cb = codec.decode_plane(record.payloads[1], cdims, params)
-    cr = codec.decode_plane(record.payloads[2], cdims, params)
-    return upsample(Frame(Plane(y), Plane(cb), Plane(cr), SubsamplingMode.S420))
-
-
 def decode_sequence(video: CompressedVideo):
     """Decompress to 4:4:4 frames, colorizing the luma-only ones."""
     params = codec.CodecParams(qp=video.qp)
     store, net_config = network.deserialize_weights(video.weight_blob)
+    dims = (video.width, video.height)
+    cdims = chroma_dims(video.width, video.height, SubsamplingMode.S420)
     frames = []
     for i, record in enumerate(video.records):
         try:
+            y = codec.decode_plane(record.payloads[0], dims, params)
             if record.kind == ANCHOR:
-                frames.append(_decode_anchor(record, video.width, video.height, params))
+                cb, cr = (codec.decode_plane(p, cdims, params) for p in record.payloads[1:])
+                frames.append(upsample(Frame(Plane(y), Plane(cb), Plane(cr), SubsamplingMode.S420)))
                 continue
-            y = codec.decode_plane(
-                record.payloads[0], (video.width, video.height), params
-            )
             luma = T.Tensor(network.luma_to_unit(y)[None, None])
             # overflow shows up as a non-finite output, reported just below
             with np.errstate(over="ignore", invalid="ignore"):
@@ -156,11 +149,13 @@ def decode_sequence(video: CompressedVideo):
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"CGV1"
-_VERSION = 1
-_HEADER = "<HHHBBBII"  # version, width, height, subsample, qp, gop, frames, blob len
+_VERSION = 2
+_HEADER = "<HHHBBII"  # version, width, height, qp, gop, frames, blob len
 
 
 def serialize_video(video: CompressedVideo) -> bytes:
+    """Magic, header, weight blob, then each frame's planes as a <I length
+    and its payload; the GOP fixes how many planes each frame has."""
     buf = io.BytesIO()
     buf.write(_MAGIC)
     buf.write(
@@ -169,7 +164,6 @@ def serialize_video(video: CompressedVideo) -> bytes:
             _VERSION,
             video.width,
             video.height,
-            _S420_CODE,
             video.qp,
             video.gop_size,
             video.frame_count,
@@ -178,7 +172,6 @@ def serialize_video(video: CompressedVideo) -> bytes:
     )
     buf.write(video.weight_blob)
     for record in video.records:
-        buf.write(struct.pack("B", record.kind))
         for payload in record.payloads:
             buf.write(struct.pack("<I", len(payload.data)))
             buf.write(payload.data)
@@ -189,26 +182,18 @@ def deserialize_video(data: bytes) -> CompressedVideo:
     r = Reader(data, "container")
     if r.take(4, "magic") != _MAGIC:
         raise DataError("not a compressed video: bad magic")
-    version, width, height, sub_code, qp, gop_size, frame_count, blob_len = r.unpack(
-        _HEADER, "header"
-    )
+    version, width, height, qp, gop_size, frame_count, blob_len = r.unpack(_HEADER, "header")
     if version != _VERSION:
         raise DataError(f"unsupported container version {version}")
-    if sub_code != _S420_CODE:
-        raise DataError(
-            f"bad stream header: subsample code {sub_code} is not 4:2:0 ({_S420_CODE})"
-        )
     try:
         codec.CodecParams(qp)
-        GopStructure(gop_size, frame_count)
+        gop = GopStructure(gop_size, frame_count)
     except ConfigError as exc:
         raise DataError(f"bad stream header: {exc}") from exc
     blob = r.take(blob_len, "weight blob")
     records = []
     for i in range(frame_count):
-        (kind,) = r.unpack("B", f"frame {i} type")
-        if kind not in (ANCHOR, LUMA_ONLY):
-            raise DataError(f"frame {i}: unknown record type {kind}")
+        kind = ANCHOR if gop.is_anchor(i) else LUMA_ONLY
         payloads = []
         for p in range(3 if kind == ANCHOR else 1):
             (plen,) = r.unpack("<I", f"frame {i} plane {p} length")
@@ -230,7 +215,7 @@ def read_video(path) -> CompressedVideo:
 
 
 def bitrate_report(video: CompressedVideo, fps: float = 30.0) -> dict:
-    """Bits per stream component (overhead: header and record framing), plus kbps both ways."""
+    """Bits per stream component (overhead: magic, header and plane lengths), plus kbps both ways."""
     anchor_bits = 0
     luma_bits = 0
     for record in video.records:

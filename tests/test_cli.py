@@ -105,6 +105,8 @@ class TestErrorPaths:
             ("train", ["--loss-weights=nan,100,1000,100"]),
             ("train", ["--loss-weights=inf,100,1000,100"]),
             ("encode", ["--fps", "inf"]),
+            ("train", ["--channels", 65]),
+            ("train", ["--channels", 100000]),
         ],
     )
     def test_out_of_range_setting_is_usage_error(self, raw_input, tmp_path, command, flags):
@@ -213,17 +215,6 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "weight file" in err and "Traceback" not in err
 
-    def test_unknown_record_type_is_data_error(self, raw_input, tmp_path, capsys):
-        weights = self._trained_weights(raw_input, tmp_path)
-        assert self._encode(raw_input, tmp_path, weights) == 0
-        stream = tmp_path / "s.cgv"
-        blob = bytearray(stream.read_bytes())
-        blob[21 + len(weights.read_bytes())] = 2  # magic, header, weights: first record byte
-        stream.write_bytes(bytes(blob))
-        assert run(["decode", "--input", stream, "--out", tmp_path / "d.yuv"]) == 3
-        err = capsys.readouterr().err
-        assert "record type 2" in err and "Traceback" not in err
-
     def test_nonfinite_colorizer_output_is_numeric_error(self, raw_input, tmp_path, capsys):
         cfg = network.NetworkConfig(width=16, height=16)
         store = network.init_generator(cfg, seed=0)
@@ -239,8 +230,8 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "colorizer output is not finite" in err and "Traceback" not in err
 
-    # subsample byte (only 2, 4:2:0, is valid), QP byte, GOP byte
-    @pytest.mark.parametrize("offset,value", [(10, 3), (11, 60), (12, 0)])
+    # QP byte, GOP byte, low byte of the 6-frame stream's frame count
+    @pytest.mark.parametrize("offset,value", [(10, 60), (11, 0), (12, 0)])
     def test_out_of_range_stream_header_is_data_error(
         self, raw_input, tmp_path, capsys, offset, value
     ):
@@ -283,7 +274,7 @@ class TestErrorPaths:
         assert self._encode(raw_input, tmp_path, weights) == 0
         stream = tmp_path / "s.cgv"
         blob = bytearray(stream.read_bytes())
-        at = 22 + len(weights.read_bytes())  # magic, header, weights, record type
+        at = 20 + len(weights.read_bytes())  # magic, header, weights
         blob[at : at + 4] = b"\xff\xff\xff\x7f"  # frame 0's luma length: past the end
         stream.write_bytes(bytes(blob))
         assert run(["decode", "--input", stream, "--out", tmp_path / "d.yuv"]) == 3

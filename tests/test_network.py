@@ -33,6 +33,12 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 net.NetworkConfig(width=16, height=16, base_channels=channels)
 
+    def test_max_channels(self):
+        assert net.NetworkConfig(width=16, height=16, base_channels=64).base_channels == 64
+        for channels in (65, 100_000):
+            with pytest.raises(ConfigError, match="6..64"):
+                net.NetworkConfig(width=16, height=16, base_channels=channels)
+
     def test_split_rule(self):
         assert net.multires_split(12) == (2, 4, 6)
         assert net.multires_split(6) == (1, 2, 3)
@@ -367,13 +373,13 @@ class TestWeightIO:
             net.deserialize_weights(blob[:flags_at] + b"\xff\xff" + blob[flags_at + 2 :])
 
     def test_huge_declared_network_allocates_nothing(self):
-        # 100,000 base channels would need 37 GiB of weights; the reader must
-        # find the values missing before building anything that size
+        # 64 base channels, the widest allowed, declare 2.1 M values (17 MB);
+        # the reader must find them missing before building any tensor
         code = textwrap.dedent("""
             import resource, struct
             resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
             from chromacodec import DataError, network
-            blob = b"CGWT" + struct.pack("<HIIIH", 2, 8, 8, 100_000, 3)
+            blob = b"CGWT" + struct.pack("<HIIIH", 2, 8, 8, 64, 3)
             try:
                 network.deserialize_weights(blob)
             except DataError as exc:
@@ -385,6 +391,12 @@ class TestWeightIO:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "truncated weight file: weight values"
+
+    def test_oversized_declared_network_is_header_error(self):
+        # 100,000 base channels would need 37 GiB of weights: the header is refused
+        blob = b"CGWT" + struct.pack("<HIIIH", 2, 8, 8, 100_000, 3)
+        with pytest.raises(DataError, match="bad weight file header: base_channels"):
+            net.deserialize_weights(blob)
 
     def test_nonfinite_value_is_data_error(self):
         cfg = small_config()

@@ -2,6 +2,7 @@
 
 import functools
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -149,10 +150,8 @@ class TestContainer:
             pipeline.deserialize_video(blob[:-10])
 
     # header bytes after the 4-byte magic: version 4-5, width 6-7, height 8-9,
-    # subsample 10 (only 2, 4:2:0, is valid), QP 11, GOP 12
-    @pytest.mark.parametrize(
-        "offset,value", [(10, 0), (10, 1), (10, 3), (10, 255), (11, 60), (12, 0)]
-    )
+    # QP 10, GOP 11, frame count 12-15 (a 2-frame stream: byte 12 = 0 makes it 0)
+    @pytest.mark.parametrize("offset,value", [(10, 60), (10, 255), (11, 0), (12, 0)])
     def test_out_of_range_header_byte_is_data_error(self, offset, value):
         frames = make_sequence(2, seed=10)
         store, cfg = tiny_net(seed=10)
@@ -162,14 +161,29 @@ class TestContainer:
         with pytest.raises(DataError, match="header"):
             pipeline.deserialize_video(bytes(blob))
 
-    def test_unknown_record_type_rejected(self):
-        frames = make_sequence(2, seed=15)
-        store, cfg = tiny_net(seed=15)
-        video, _ = pipeline.encode_sequence(frames, 32, pipeline.split_gops(2, 6), store, cfg)
+    def test_every_other_gop_byte_is_data_error(self):
+        # records carry no kind: the GOP byte alone says which frames have three
+        # planes. A wrong GOP either changes the plane count, which the parse
+        # catches, or regroups the planes so that a chroma payload is decoded
+        # at luma dims and runs out of bits
+        frames = make_sequence(12, seed=16)
+        store, cfg = tiny_net(seed=16)
+        video, _ = pipeline.encode_sequence(frames, 32, pipeline.split_gops(12, 6), store, cfg)
         blob = bytearray(pipeline.serialize_video(video))
-        blob[21 + len(video.weight_blob)] = 2  # magic, header, weights: first record byte
-        with pytest.raises(DataError, match="frame 0: unknown record type 2"):
-            pipeline.deserialize_video(bytes(blob))
+        assert blob[11] == 6
+        for gop in set(range(256)) - {6}:
+            blob[11] = gop
+            with pytest.raises(DataError):
+                pipeline.decode_sequence(pipeline.deserialize_video(bytes(blob)))
+
+    def test_version_1_stream_is_data_error(self):
+        frames = make_sequence(2, seed=17)
+        store, cfg = tiny_net(seed=17)
+        video, _ = pipeline.encode_sequence(frames, 32, pipeline.split_gops(2, 6), store, cfg)
+        blob = pipeline.serialize_video(video)
+        assert blob[4:6] == struct.pack("<H", 2)
+        with pytest.raises(DataError, match="unsupported container version 1"):
+            pipeline.deserialize_video(blob[:4] + struct.pack("<H", 1) + blob[6:])
 
     def test_trailing_bytes_rejected(self):
         frames = make_sequence(1, seed=8)
@@ -191,6 +205,17 @@ class TestContainer:
             + report["overhead_bits"]
         )
         assert parts == report["total_bits"]
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 13), st.integers(1, 7))
+    def test_overhead_is_magic_header_and_plane_lengths(self, frame_count, gop_size):
+        store, cfg = tiny_net()
+        gop = pipeline.split_gops(frame_count, gop_size)
+        video, _ = pipeline.encode_sequence(make_sequence(frame_count, 8, 8), 32, gop, store, cfg)
+        planes = sum(len(r.payloads) for r in video.records)
+        assert planes == frame_count + 2 * len(gop.anchors)
+        # 4-byte magic, 16-byte header, one <I length per plane
+        assert pipeline.bitrate_report(video)["overhead_bits"] == 8 * (20 + 4 * planes)
 
 
 @functools.lru_cache(maxsize=1)
@@ -235,7 +260,7 @@ class TestMalformedContainers:
     @given(st.data())
     def test_mutated_stream(self, data):
         video, stream = tiny_stream()
-        records_at = 21 + len(video.weight_blob)  # magic, header, weight file
+        records_at = 20 + len(video.weight_blob)  # magic, header, weight file
         # the weight values are most of the stream; aim at the headers and records too
         pos = st.one_of(
             st.integers(0, 64), st.integers(records_at, len(stream) - 1), st.integers()
