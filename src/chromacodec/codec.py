@@ -257,6 +257,10 @@ def decode_plane(payload: PlanePayload, dims, params: CodecParams) -> np.ndarray
                 raise DataError(f"coefficient index overflow in block {b}")
             scans[b, pos] = level
             pos += 1
+    # the container stores whole bytes, so at most 7 padding bits are legitimate
+    unread = reader._limit - reader._pos
+    if unread > 7:
+        raise DataError(f"{unread} bits left unread after {nblocks} coded blocks")
 
     coefs = np.zeros((nblocks, BLOCK, BLOCK))
     coefs[:, _ZZ_ROWS, _ZZ_COLS] = scans * params.step

@@ -378,23 +378,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), backprop)
 
 
-def _mm(a, b):
+def _mm(a, b, out=None):
     """a @ b. With inner dimension 1 the product is an outer product, which
     broadcasting forms 5-7× faster than BLAS does."""
-    return a * b if a.shape[-1] == 1 else a @ b
+    if a.shape[-1] == 1:
+        return np.multiply(a, b, out=out)
+    return np.matmul(a, b, out=out)
 
 
-# Query rows per block of `attention`: about ATTN_BLOCK score entries (512 KB,
-# within a core's L2 at 64×64), but at least ATTN_MIN_ROWS rows, because every
+# Entries of one block of the blocked kernels: score entries of `attention`'s
+# query rows, and im2col columns of a convolution's output rows. 2^16 float64
+# entries are 512 KB, within a core's L2, so a block is still cached when
+# the matrix product reads it.
+BLOCK_ENTRIES = 1 << 16
+# At least this many query rows per block of `attention`, because every
 # block adds a full-width update to backward's sums, and at 176×144 those
 # updates dominate below that.
-ATTN_BLOCK = 1 << 16
 ATTN_MIN_ROWS = 16
 
 
 def _attn_rows(hw):
     """Query rows per block of `attention` at HW keys."""
-    return min(hw, max(ATTN_MIN_ROWS, ATTN_BLOCK // hw))
+    return min(hw, max(ATTN_MIN_ROWS, BLOCK_ENTRIES // hw))
 
 
 def _attn_blocks(f, g, step):
@@ -497,10 +502,14 @@ def attention(f: Tensor, g: Tensor, h: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _im2col(x, k, stride, padding):
-    """x's k×k windows as columns, (n, C·k·k, oh·ow), and (oh, ow).
+    """x's k×k windows, the output rows per block of columns, and the block buffer.
 
-    The columns are one copy of a strided view of the padded input; for
-    k = 1, stride 1 and no padding they are a reshape of x itself.
+    The windows are a strided (n, C, k, k, oh, ow) view of the padded
+    input. A block of output rows unrolls into the buffer as columns
+    (Chellapilla et al. 2006; one block at a time as in Anderson et al.
+    2017), so a block holds at most about BLOCK_ENTRIES entries and stays
+    in L2 for the matrix product that reads it. For k = 1, stride 1 and no
+    padding the columns are a reshape of x itself: one block and no buffer.
     """
     n, c, h, wdt = x.shape
     oh = (h + 2 * padding - k) // stride + 1
@@ -509,32 +518,61 @@ def _im2col(x, k, stride, padding):
         raise DimensionError(
             f"conv: kernel {k} does not fit input {h}×{wdt} with padding {padding}"
         )
-    xp = x
+    if k == 1 and stride == 1 and not padding:
+        return x.reshape(n, c, 1, 1, h, wdt), oh, None
     if padding:  # by hand: np.pad costs about 40 µs more per call
         xp = np.zeros((n, c, h + 2 * padding, wdt + 2 * padding))
         xp[:, :, padding : padding + h, padding : padding + wdt] = x
+    else:
+        xp = np.ascontiguousarray(x)
     s = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, k, k, oh, ow),
+    # a view of xp's buffer, which checks the strides stay inside it;
+    # as_strided makes the same view about 6 µs slower
+    win = np.ndarray(
+        (n, c, k, k, oh, ow),
+        buffer=xp,
         strides=(s[0], s[1], s[2], s[3], s[2] * stride, s[3] * stride),
-        writeable=False,
     )
-    return win.reshape(n, c * k * k, oh * ow), (oh, ow)
+    win.flags.writeable = False  # its windows overlap
+    rows = min(oh, max(1, BLOCK_ENTRIES // (n * c * k * k * ow)))
+    return win, rows, np.empty(n * c * k * k * rows * ow)
+
+
+def _cols(win, r0, r1, buf):
+    """Output rows r0:r1 of the windows as columns, (n, C·k·k, (r1 − r0)·ow)."""
+    n, c, k, _, _, ow = win.shape
+    if buf is None:
+        return win[:, :, 0, 0, r0:r1].reshape(n, c, -1)
+    cols = buf[: n * c * k * k * (r1 - r0) * ow].reshape(n, c, k, k, r1 - r0, ow)
+    cols[...] = win[..., r0:r1, :]
+    return cols.reshape(n, c * k * k, -1)
 
 
 def _conv_fwd(x, w, stride, padding):
-    cols, (oh, ow) = _im2col(x, w.shape[2], stride, padding)
-    out = _mm(w.reshape(w.shape[0], -1), cols)
-    return out.reshape(x.shape[0], w.shape[0], oh, ow)
+    n, cout = x.shape[0], w.shape[0]
+    win, rows, buf = _im2col(x, w.shape[2], stride, padding)
+    oh, ow = win.shape[4:]
+    w2 = w.reshape(cout, -1)
+    out = np.empty((n, cout, oh, ow))
+    flat = out.reshape(n, cout, oh * ow)
+    for r0 in range(0, oh, rows):
+        r1 = min(r0 + rows, oh)
+        _mm(w2, _cols(win, r0, r1, buf), out=flat[:, :, r0 * ow : r1 * ow])
+    return out
 
 
 def _conv_dw(x, g, k, stride, padding):
     # cols is rebuilt here rather than kept from forward, so training holds
     # no k²-times copy of each activation between the two passes
     n, cout = g.shape[:2]
-    cols, _ = _im2col(x, k, stride, padding)
-    dw = (g.reshape(n, cout, -1) @ cols.swapaxes(1, 2)).sum(axis=0)
+    win, rows, buf = _im2col(x, k, stride, padding)
+    oh, ow = win.shape[4:]
+    g3 = g.reshape(n, cout, oh * ow)
+    dw = np.zeros((cout, x.shape[1] * k * k))
+    for r0 in range(0, oh, rows):
+        r1 = min(r0 + rows, oh)
+        cols = _cols(win, r0, r1, buf)
+        dw += (g3[:, :, r0 * ow : r1 * ow] @ cols.swapaxes(1, 2)).sum(axis=0)
     return dw.reshape(cout, x.shape[1], k, k)
 
 

@@ -316,6 +316,23 @@ class TestPlaneCodec:
         with pytest.raises(DataError, match="cannot hold 6 coded blocks"):
             codec.decode_plane(payload, (24, 16), params)
 
+    @pytest.mark.parametrize("tail, dims", [(b"\xff" * 100, (16, 16)), (b"", (8, 8))])
+    def test_unread_bits_are_data_error(self, tail, dims):
+        # a stored payload is whole bytes, so it may end in up to 7 padding
+        # bits; 100 appended bytes, or luma read at chroma dims, leave more
+        params = codec.CodecParams(qp=32)
+        plane = np.random.default_rng(30).integers(0, 256, (16, 16), dtype=np.uint8)
+        payload = codec.encode_plane(plane, params)
+        stored = codec.PlanePayload(payload.data, 8 * len(payload.data))
+        assert 0 < stored.bit_length - payload.bit_length <= 7
+        assert np.array_equal(
+            codec.decode_plane(stored, (16, 16), params),
+            codec.decode_plane(payload, (16, 16), params),
+        )
+        data = payload.data + tail
+        with pytest.raises(DataError, match="left unread"):
+            codec.decode_plane(codec.PlanePayload(data, 8 * len(data)), dims, params)
+
     def test_huge_declared_dims_allocate_nothing(self):
         # 65535×65535 is 67,108,864 blocks, 32 GiB of coefficients; the
         # address-space cap turns any allocation of that size into a MemoryError

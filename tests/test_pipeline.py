@@ -354,9 +354,11 @@ class TestDecode:
             with pytest.raises(NumericError, match="frame 1: colorizer"):
                 pipeline.decode_sequence(video)
 
-    def test_176x144_decode_peaks_under_85_mb(self):
+    def test_176x144_decode_peaks_under_60_mb(self):
         # loaded weights are constants, so the generator keeps no graph and
-        # frees each activation after its last use (over 110 MB when it did not).
+        # frees each activation after its last use (over 110 MB when it did not),
+        # and each convolution unrolls one block of rows (68 MB with a whole-frame
+        # im2col copy per convolution).
         # VmHWM, not ru_maxrss: a spawned child's ru_maxrss starts from this
         # process's own peak
         code = textwrap.dedent("""
@@ -378,7 +380,7 @@ class TestDecode:
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout.split()[-1]) * 1024 < 85e6  # VmHWM is in KiB
+        assert int(proc.stdout.split()[-1]) * 1024 < 60e6  # VmHWM is in KiB
 
     def test_decoded_frames_are_full_chroma(self):
         frames = make_sequence(3, seed=13)

@@ -6,6 +6,8 @@ differences, and the transposed convolution also with the adjoint
 identity <conv(x), y> == <x, conv_t(y)>.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,19 @@ NETWORK_CONVS = [
     # content-loss FeatureExtractor
     (2, 8, 3, 2, 1), (8, 16, 3, 2, 1), (16, 32, 3, 2, 1), (32, 32, 3, 2, 1),
 ]
+
+
+def block_splits(oh):
+    """Output rows per im2col block: the default budget (None), 1-row blocks,
+    and a block of oh − 1 rows followed by a 1-row remainder."""
+    return [None, 1, oh - 1]
+
+
+def set_block_rows(monkeypatch, rows, x, k, ow):
+    """Budget for `rows` output rows per block of x's im2col; None keeps the default."""
+    if rows is not None:
+        n, c = x.shape[:2]
+        monkeypatch.setattr(T, "BLOCK_ENTRIES", rows * n * c * k * k * ow)
 
 
 class TestBasics:
@@ -200,17 +215,49 @@ class TestConv:
 
     # plus padding ≥ k at stride 1, where the input gradient is not a convolution
     @pytest.mark.parametrize("cin, cout, k, stride, padding", NETWORK_CONVS + [(3, 4, 1, 1, 1)])
-    def test_kernels_match_loops(self, cin, cout, k, stride, padding):
+    def test_kernels_match_loops(self, cin, cout, k, stride, padding, monkeypatch):
         rng = np.random.default_rng(cin * 1000 + cout * 10 + k)
         x = rng.standard_normal((2, cin, 7, 6))
         w = rng.standard_normal((cout, cin, k, k))
-        out = T._conv_fwd(x, w, stride, padding)
-        assert np.max(np.abs(out - loop_conv2d(x, w, None, stride, padding))) <= 1e-12
-        g = rng.standard_normal(out.shape)
-        dx = T._conv_dx(g, w, x.shape, stride, padding)
-        assert np.max(np.abs(dx - loop_conv_dx(g, w, x.shape, stride, padding))) <= 1e-12
-        dw = T._conv_dw(x, g, k, stride, padding)
-        assert np.max(np.abs(dw - loop_conv_dw(x, g, k, stride, padding))) <= 1e-12
+        want = loop_conv2d(x, w, None, stride, padding)
+        g = rng.standard_normal(want.shape)
+        want_dx = loop_conv_dx(g, w, x.shape, stride, padding)
+        want_dw = loop_conv_dw(x, g, k, stride, padding)
+        for rows in block_splits(want.shape[2]):
+            set_block_rows(monkeypatch, rows, x, k, want.shape[3])
+            out = T._conv_fwd(x, w, stride, padding)
+            assert np.max(np.abs(out - want)) <= 1e-12
+            dx = T._conv_dx(g, w, x.shape, stride, padding)
+            assert np.max(np.abs(dx - want_dx)) <= 1e-12
+            dw = T._conv_dw(x, g, k, stride, padding)
+            assert np.max(np.abs(dw - want_dw)) <= 1e-12
+
+    @pytest.mark.parametrize("cin, cout, k, stride, padding", NETWORK_CONVS)
+    def test_forward_does_not_depend_on_block_budget(self, cin, cout, k, stride, padding, monkeypatch):
+        # the blocks' matrix products may round differently, but no further
+        rng = np.random.default_rng(cin * 1000 + cout * 10 + k)
+        x = rng.standard_normal((2, cin, 19, 22))
+        w = rng.standard_normal((cout, cin, k, k))
+        whole = T._conv_fwd(x, w, stride, padding)
+        for rows in block_splits(whole.shape[2])[1:]:
+            set_block_rows(monkeypatch, rows, x, k, whole.shape[3])
+            out = T._conv_fwd(x, w, stride, padding)
+            assert np.max(np.abs(out - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+    def test_forward_and_backward_memory(self):
+        # one 8→8 3×3 layer at 176×144: a whole-frame im2col copy of the
+        # input is 9 activations (its forward + backward peaked at 19.5 MB)
+        rng = np.random.default_rng(13)
+        x = T.Tensor(rng.standard_normal((1, 8, 144, 176)), requires_grad=True)
+        w = T.Tensor(rng.standard_normal((8, 8, 3, 3)), requires_grad=True)
+        b = T.Tensor(np.zeros(8), requires_grad=True)
+        tracemalloc.start()
+        try:
+            T.backward(T.tsum(T.conv2d(x, w, b, 1, 1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * x.data.nbytes
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(11)
@@ -230,16 +277,26 @@ class TestConv:
             T.conv_transpose2d(T.Tensor(np.zeros((1, 4, 8, 8))), w, T.Tensor(np.zeros(4)), 2)
 
     @pytest.mark.parametrize("stride, k", [(1, 3), (2, 2), (2, 3), (2, 1), (3, 2)])
-    def test_transpose_matches_scatter_loop(self, stride, k):
-        # overlapping patches (k > stride), exact tiling (k == stride) and gaps (k < stride)
+    def test_transpose_matches_scatter_loop(self, stride, k, monkeypatch):
+        # overlapping patches (k > stride), exact tiling (k == stride) and gaps
+        # (k < stride); its backward runs conv2d's kernels on g in these blocks
         rng = np.random.default_rng(20 + 10 * stride + k)
         x = rng.standard_normal((2, 3, 4, 5))
         w = rng.standard_normal((3, 2, k, k))
         b = rng.standard_normal(2)
-        got = T.conv_transpose2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride).data
         want = loop_conv_transpose2d(x, w, b, stride)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12
+        g = rng.standard_normal(want.shape)
+        want_dx = loop_conv2d(g, w, None, stride, 0)
+        want_dw = loop_conv_dw(g, x, k, stride, 0)
+        for rows in block_splits(x.shape[2]):
+            set_block_rows(monkeypatch, rows, g, k, x.shape[3])
+            xt, wt = T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True)
+            got = T.conv_transpose2d(xt, wt, T.Tensor(b), stride)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got.data - want)) <= 1e-12
+            T.backward(T.tsum(T.mul(got, T.Tensor(g))))
+            assert np.max(np.abs(xt.grad - want_dx)) <= 1e-12
+            assert np.max(np.abs(wt.grad - want_dw)) <= 1e-12
 
     def test_transpose_output_size(self):
         x = T.Tensor(np.zeros((1, 3, 5, 7)))
