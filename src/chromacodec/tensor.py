@@ -3,8 +3,8 @@
 A :class:`Tensor` wraps a numpy array (images use N×C×H×W layout) and,
 when an operation produces it, remembers its inputs together with a
 gradient rule. :func:`backward` walks the recorded graph once in reverse
-topological order and accumulates d(loss)/d(leaf) into every leaf that
-was created with ``requires_grad=True``.
+topological order, accumulates d(loss)/d(leaf) into every leaf that
+was created with ``requires_grad=True``, and frees each node as it goes.
 
 A graph belongs to the thread that builds it; finished tensors are plain
 values and may be shared freely. All arithmetic is double precision so
@@ -93,10 +93,13 @@ def _as_tensor(x) -> Tensor:
 
 
 def _accum(t: Tensor, g):
+    """Add g into t.grad. The first g is kept as it is, not copied, so a
+    gradient rule hands each region of a buffer to one parent only, and
+    later calls add into that buffer in place."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, order="C")  # a copy: `add` hands one g to both parents
+        t.grad = g
     else:
         t.grad += g
 
@@ -118,6 +121,12 @@ def backward(loss: Tensor) -> None:
     `loss` must be scalar and finite. Each graph node is visited exactly
     once, in reverse topological order, so repeated runs over the same
     graph construction are bit-identical.
+
+    Backward consumes the graph. Once a node's rule has run, the node
+    drops its gradient, its rule (which holds the forward arrays it
+    needs) and its parents, so a pass holds only the gradients still
+    pending and the forward values not yet used. Leaves keep their .grad.
+    To differentiate again, build the graph again.
     """
     if loss.data.size != 1:
         raise DimensionError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -141,9 +150,14 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backprop is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()
+        if node._backprop is None:
+            continue  # a leaf
+        if node.grad is not None:
             node._backprop(node.grad)
+        node.grad = node._backprop = None
+        node._parents = ()
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +169,10 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backprop(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        ga, gb = _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        _accum(a, ga)
+        # both may be g itself, and `_accum` keeps what it is handed
+        _accum(b, gb.copy() if gb is ga and a.requires_grad else gb)
 
     return _result(data, (a, b), backprop)
 
@@ -697,26 +713,28 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor
 
 
 def maxpool2(x: Tensor) -> Tensor:
-    """2×2 stride-2 max pooling; gradient goes to the first max in row-major scan."""
-    n, c, h, w = x.data.shape
+    """2×2 stride-2 max pooling; gradient goes to the first max in row-major scan.
+
+    The pool is taken over the four strided quarter views of x, so nothing
+    is copied or saved: backward finds each window's first max again by
+    comparing the quarters with the output in scan order. On a tie
+    np.maximum returns its second operand, so each pair is passed later
+    element first and a window of signed zeros keeps its first one.
+    """
+    xd = x.data
+    _, _, h, w = xd.shape
     if h % 2 or w % 2:
         raise DimensionError(f"maxpool2: spatial dims must be even, got {h}×{w}")
-    blocks = (
-        x.data.reshape(n, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h // 2, w // 2, 4)
-    )
-    idx = blocks.argmax(axis=-1)
-    out = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+    q = {(i, j): xd[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)}  # scan order
+    out = np.maximum(np.maximum(q[1, 1], q[1, 0]), np.maximum(q[0, 1], q[0, 0]))
 
     def backprop(g):
-        db = np.zeros_like(blocks)
-        np.put_along_axis(db, idx[..., None], g[..., None], axis=-1)
-        dx = (
-            db.reshape(n, c, h // 2, w // 2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
+        dx = np.zeros(xd.shape)
+        free = np.ones(out.shape, dtype=bool)  # windows whose max is not found yet
+        for (i, j), v in q.items():
+            hit = free & (v == out)
+            np.copyto(dx[:, :, i::2, j::2], g, where=hit)
+            free ^= hit
         _accum(x, dx)
 
     return _result(out, (x,), backprop)

@@ -169,7 +169,9 @@ def train(
             T.backward(d_loss)
             adam_step(disc_params, disc_state)
 
-            d_fake = network.discriminator_forward(disc_store, T.concat([luma_t, gen_out], axis=1))
+            # frozen: the generator step needs no discriminator weight gradients
+            frozen = {k: v.detach() for k, v in disc_store.items()}
+            d_fake = network.discriminator_forward(frozen, T.concat([luma_t, gen_out], axis=1))
             gan_term = losses.gan_loss(d_fake)
         mse_term = losses.mse_loss(gen_out, target_t) if w.mse > 0 else zero
         content_term = (

@@ -149,6 +149,50 @@ class TestBasics:
         T.backward(T.tsum(T.mul(x, x) + x))
         assert np.allclose(x.grad, [7.0])
 
+    def test_add_hands_each_parent_its_own_gradient(self):
+        # backward keeps the first gradient a leaf receives, uncopied, and
+        # `add` passes g unreduced to both parents
+        a = T.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        b = T.Tensor([[5.0, 6.0], [7.0, 8.0]], requires_grad=True)
+        T.backward(T.tsum(T.square(a + b)))
+        assert np.array_equal(a.grad, 2.0 * (a.data + b.data))
+        assert np.array_equal(b.grad, 2.0 * (a.data + b.data))
+        assert not np.shares_memory(a.grad, b.grad)
+        x = T.Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+        T.backward(T.tsum(T.square(x + x)))
+        assert np.array_equal(x.grad, 8.0 * x.data)
+
+    def test_backward_releases_spent_nodes(self):
+        x = T.Tensor(np.ones(3), requires_grad=True)
+        mid = T.tanh(x)
+        loss = T.tsum(T.square(mid))
+        T.backward(loss)
+        assert x.grad is not None  # leaves keep their gradient
+        for node in (mid, loss):
+            assert node.grad is None and node._backprop is None and node._parents == ()
+
+    def test_backward_memory_of_a_chain(self):
+        # 16 tanh in a row at 176×144×8: a pass that kept every gradient
+        # would hold 18 activations above the forward graph; this one holds
+        # the pending gradient and temporaries, and frees each forward
+        # value once its rule has run
+        rng = np.random.default_rng(17)
+        x = T.Tensor(rng.standard_normal((1, 8, 144, 176)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            y = x
+            for _ in range(16):
+                y = T.tanh(y)
+            loss = T.tsum(y)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 4 * x.data.nbytes
+        assert x.grad.shape == x.data.shape
+
     def test_detach_blocks_gradient(self):
         x = T.Tensor([2.0], requires_grad=True)
         y = T.mul(x.detach(), x)
@@ -327,6 +371,28 @@ class TestConv:
         xe = T.Tensor(np.zeros((1, 1, 2, 2)), requires_grad=True)
         T.backward(T.tsum(T.maxpool2(xe)))
         assert np.array_equal(xe.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
+        # small integers tie often; the loop takes the first strict max in scan order
+        rng = np.random.default_rng(23)
+        x = T.Tensor(rng.integers(-2, 3, (2, 3, 6, 8)).astype(np.float64), requires_grad=True)
+        g = rng.standard_normal((2, 3, 3, 4))
+        want_out, want_dx = np.zeros(g.shape), np.zeros(x.shape)
+        for idx in np.ndindex(g.shape):
+            n, c, i, j = idx
+            win = [(2 * i + di, 2 * j + dj) for di in (0, 1) for dj in (0, 1)]
+            first = win[0]
+            for yx in win[1:]:
+                if x.data[n, c][yx] > x.data[n, c][first]:
+                    first = yx
+            want_out[idx] = x.data[n, c][first]
+            want_dx[n, c][first] = g[idx]
+        out = T.maxpool2(x)
+        T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+        assert np.array_equal(out.data, want_out)
+        assert np.array_equal(x.grad, want_dx)
+        # a window of signed zeros pools to its first one
+        zeros = np.zeros((1, 1, 2, 4))
+        zeros[0, 0, 0, 0] = zeros[0, 0, 1, 3] = -0.0
+        assert list(np.signbit(T.maxpool2(T.Tensor(zeros)).data.ravel())) == [True, False]
 
     def test_maxpool_odd_input_raises(self):
         with pytest.raises(DimensionError):

@@ -1,5 +1,11 @@
 """Optimizer arithmetic, training-set construction, and loop behavior."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +13,8 @@ from chromacodec import ConfigError, NumericError
 from chromacodec import colorspace as cs
 from chromacodec import losses, network, pipeline, trainer
 from chromacodec import tensor as T
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def make_sequence(n, w=16, h=16, seed=0):
@@ -165,6 +173,60 @@ class TestTrainLoop:
         assert stores_equal(snapshot(disc), before_d)
         assert not stores_equal(snapshot(gen), before_g)
         assert [r.disc for r in history] == [0.0, 0.0]
+
+    def test_discriminator_gradient_is_its_own_loss_only(self):
+        # the generator step runs the discriminator frozen, so it adds no
+        # gradient to the discriminator's weights
+        net_cfg, gen, disc, pairs = tiny_setup(seed=17)
+        gen0 = {k: T.Tensor(v.data.copy(), requires_grad=True) for k, v in gen.items()}
+        disc0 = {k: T.Tensor(v.data.copy(), requires_grad=True) for k, v in disc.items()}
+        trainer.train(gen, disc, net_cfg, pairs, trainer.TrainConfig(steps=1))
+        luma, chroma = T.Tensor(pairs[0].luma), T.Tensor(pairs[0].chroma)
+        fake = network.generator_forward(gen0, net_cfg, luma).detach()
+        T.backward(
+            losses.discriminator_loss(
+                network.discriminator_forward(disc0, T.concat([luma, chroma], axis=1)),
+                network.discriminator_forward(disc0, T.concat([luma, fake], axis=1)),
+            )
+        )
+        for name, t in disc.items():
+            assert np.array_equal(t.grad, disc0[name].grad), name
+
+    def test_176x144_training_peaks_under_150_mb(self):
+        # VmHWM of a fresh process: two steps at the README size with
+        # attention off (229 MB when backward kept the whole graph)
+        code = textwrap.dedent("""
+            import numpy as np
+            from chromacodec import colorspace as cs, network, pipeline, trainer
+
+            def frame(i):  # moving rectangles, laid out on a 64×64 grid
+                rgb = np.full((144, 176, 3), 120, dtype=np.uint8)
+                x, y, g = (3 * i) % 44, (2 * i) % 36, i % 8
+                for (y0, y1, x0, x1), color in (
+                    ((8 + y, 24 + y, x, x + 20), (255, 32, 32)),
+                    ((40, 56, 40 - x, 60 - x), (32, 32, 255)),
+                    ((26 + g, 34 + g, 20, 44), (32, 200, 64)),
+                ):
+                    rgb[round(y0 * 2.25) : round(y1 * 2.25), round(x0 * 2.75) : round(x1 * 2.75)] = color
+                return cs.rgb_to_ycbcr(rgb)
+
+            config = network.NetworkConfig(176, 144, use_attention=False)
+            pairs = trainer.build_training_set(
+                [frame(i) for i in range(12)], pipeline.split_gops(12, 6), qp=32
+            )
+            trainer.train(
+                network.init_generator(config, seed=0), network.init_discriminator(config, seed=0),
+                config, pairs, trainer.TrainConfig(steps=2),
+            )
+            with open("/proc/self/status") as fh:
+                print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) * 1024 < 150e6  # VmHWM is in KiB
 
     def test_csv_export(self):
         net_cfg, gen, disc, pairs = tiny_setup(seed=15)
