@@ -18,7 +18,7 @@ print(f"mse_loss      : {mse.item():.5f}")
 
 # Content loss: L1 distance in the feature space of a frozen conv pyramid.
 extractor = losses.FeatureExtractor(in_channels=2, seed=0)
-content = losses.content_loss(extractor, generated, target)
+content = losses.content_loss(extractor, generated, extractor(target))
 print(f"content_loss  : {content.item():.5f}")
 
 # Color loss: both images are blurred with large Gaussian kernels whose

@@ -111,17 +111,20 @@ class FeatureExtractor:
         return x
 
 
-def content_loss(extractor, gen: T.Tensor, target: T.Tensor) -> T.Tensor:
-    """L1 distance between feature maps, normalized by feature count.
+def content_loss(extractor, gen: T.Tensor, target_features: T.Tensor) -> T.Tensor:
+    """L1 distance between extractor(gen) and the target's feature map,
+    normalized by feature count.
 
-    The target branch is detached: only the generated image receives
-    gradient.
+    `target_features` is extractor(target), computed once by the caller
+    because the extractor is frozen. It is detached: only the generated
+    image receives gradient.
     """
-    if gen.shape != target.shape:
-        raise DimensionError(f"content_loss shapes differ: {gen.shape} vs {target.shape}")
     fg = extractor(gen)
-    ft = extractor(target.detach())
-    return T.scale(T.l1_norm(fg - ft), 1.0 / fg.size)
+    if fg.shape != target_features.shape:
+        raise DimensionError(
+            f"content_loss feature shapes differ: {fg.shape} vs {target_features.shape}"
+        )
+    return T.scale(T.l1_norm(fg - target_features.detach()), 1.0 / fg.size)
 
 
 def mixed_loss(weights: LossWeights, gan, mse, content, color):

@@ -1,10 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A :class:`Tensor` wraps a numpy array (images use N×C×H×W layout) and,
-when an operation produces it, remembers its inputs together with a
-gradient rule. :func:`backward` walks the recorded graph once in reverse
-topological order, accumulates d(loss)/d(leaf) into every leaf that
-was created with ``requires_grad=True``, and frees each node as it goes.
+A :class:`Tensor` wraps a numpy array (images use N×C×H×W layout) and a
+graph node. When an operation produces a tensor, its node records the
+nodes of the operation's inputs together with a gradient rule. A node
+holds a gradient, never a value: each rule keeps only the arrays its
+gradient reads (the save-for-backward pattern of PyTorch's autograd), so
+an op output that no rule reads is freed as soon as forward drops it.
+:func:`backward` walks the recorded graph once in reverse topological
+order, accumulates d(loss)/d(leaf) into every leaf that was created with
+``requires_grad=True``, and frees each node as it goes.
 
 A graph belongs to the thread that builds it; finished tensors are plain
 values and may be shared freely. All arithmetic is double precision so
@@ -18,20 +22,30 @@ import numpy as np
 from .errors import DimensionError, NumericError
 
 
-class Tensor:
-    """Dense float64 array plus an optional gradient."""
+class Node:
+    """One vertex of the graph: a gradient, the parents' nodes and the rule
+    that hands a gradient on to them. It holds no forward value."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop")
+    __slots__ = ("grad", "requires_grad", "_parents", "_backprop")
+
+    def __init__(self, requires_grad: bool, parents=(), backprop=None):
+        self.grad = None
+        self.requires_grad = requires_grad
+        self._parents = parents
+        self._backprop = backprop
+
+
+class Tensor:
+    """Dense float64 array plus its graph node, which carries the gradient."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise NumericError("tensor initialized with non-finite values")
         self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backprop = None
+        self.node = Node(bool(requires_grad))
 
     @property
     def shape(self):
@@ -41,6 +55,31 @@ class Tensor:
     def size(self):
         return self.data.size
 
+    @property
+    def requires_grad(self) -> bool:
+        return self.node.requires_grad
+
+    @property
+    def grad(self):
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.node.grad = g
+
+    # the graph as seen from its values, for tools that walk or wrap it
+    @property
+    def _parents(self):
+        return self.node._parents
+
+    @property
+    def _backprop(self):
+        return self.node._backprop
+
+    @_backprop.setter
+    def _backprop(self, rule):
+        self.node._backprop = rule
+
     def item(self) -> float:
         if self.data.size != 1:
             raise DimensionError(f"item() needs a scalar, got shape {self.shape}")
@@ -48,8 +87,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Same values, cut loose from the graph."""
-        out = _result(self.data, (), None)
-        return out
+        return _result(self.data, (), None)
 
     def zero_grad(self):
         self.grad = None
@@ -78,13 +116,13 @@ class Tensor:
 def _result(data, parents, backprop) -> Tensor:
     # Internal constructor for op outputs; skips the finiteness scan
     # (enforced at the loss boundary and by the trainer instead).
+    # `parents` are nodes, and `backprop` must close over nodes, shapes
+    # and the arrays it reads, never over a Tensor, which would keep its
+    # value alive until backward.
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
     req = any(p.requires_grad for p in parents)
-    out.requires_grad = req
-    out._parents = tuple(parents) if req else ()
-    out._backprop = backprop if req else None
+    out.node = Node(req, tuple(parents), backprop) if req else Node(False)
     return out
 
 
@@ -92,16 +130,16 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accum(t: Tensor, g):
-    """Add g into t.grad. The first g is kept as it is, not copied, so a
+def _accum(node: Node, g):
+    """Add g into node.grad. The first g is kept as it is, not copied, so a
     gradient rule hands each region of a buffer to one parent only, and
     later calls add into that buffer in place."""
-    if not t.requires_grad:
+    if not node.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g
+    if node.grad is None:
+        node.grad = g
     else:
-        t.grad += g
+        node.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -125,7 +163,7 @@ def backward(loss: Tensor) -> None:
     Backward consumes the graph. Once a node's rule has run, the node
     drops its gradient, its rule (which holds the forward arrays it
     needs) and its parents, so a pass holds only the gradients still
-    pending and the forward values not yet used. Leaves keep their .grad.
+    pending and the forward arrays not yet used. Leaves keep their .grad.
     To differentiate again, build the graph again.
     """
     if loss.data.size != 1:
@@ -135,7 +173,7 @@ def backward(loss: Tensor) -> None:
 
     topo = []
     visited = set()
-    stack = [(loss, False)]
+    stack = [(loss.node, False)]
     while stack:
         node, children_done = stack.pop()
         if children_done:
@@ -149,7 +187,7 @@ def backward(loss: Tensor) -> None:
             if id(p) not in visited:
                 stack.append((p, False))
 
-    loss.grad = np.ones_like(loss.data)
+    loss.node.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
         if node._backprop is None:
@@ -166,54 +204,57 @@ def backward(loss: Tensor) -> None:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data + b.data
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
 
     def backprop(g):
-        ga, gb = _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-        _accum(a, ga)
+        ga, gb = _unbroadcast(g, sa), _unbroadcast(g, sb)
+        _accum(na, ga)
         # both may be g itself, and `_accum` keeps what it is handed
-        _accum(b, gb.copy() if gb is ga and a.requires_grad else gb)
+        _accum(nb, gb.copy() if gb is ga and na.requires_grad else gb)
 
-    return _result(data, (a, b), backprop)
+    return _result(a.data + b.data, (na, nb), backprop)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data - b.data
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
 
     def backprop(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, -_unbroadcast(g, b.shape))
+        _accum(na, _unbroadcast(g, sa))
+        _accum(nb, -_unbroadcast(g, sb))
 
-    return _result(data, (a, b), backprop)
+    return _result(a.data - b.data, (na, nb), backprop)
 
 
 def mul(a, b) -> Tensor:
     """Elementwise (broadcasting) product; covers scaling by a learnable scalar."""
     a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data * b.data
+    na, nb, ad, bd = a.node, b.node, a.data, b.data
 
     def backprop(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        _accum(na, _unbroadcast(g * bd, ad.shape))
+        _accum(nb, _unbroadcast(g * ad, bd.shape))
 
-    return _result(data, (a, b), backprop)
+    return _result(ad * bd, (na, nb), backprop)
 
 
 def scale(t: Tensor, k: float) -> Tensor:
     k = float(k)
+    n = t.node
 
     def backprop(g):
-        _accum(t, g * k)
+        _accum(n, g * k)
 
-    return _result(t.data * k, (t,), backprop)
+    return _result(t.data * k, (n,), backprop)
 
 
 def square(t: Tensor) -> Tensor:
-    def backprop(g):
-        _accum(t, 2.0 * t.data * g)
+    n, x = t.node, t.data
 
-    return _result(t.data * t.data, (t,), backprop)
+    def backprop(g):
+        _accum(n, 2.0 * x * g)
+
+    return _result(x * x, (n,), backprop)
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -229,68 +270,73 @@ def concat(tensors, axis: int) -> Tensor:
                 f"concat: operand shape {s} differs from {base} on axis {bad}"
             )
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    nodes = tuple(t.node for t in tensors)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def backprop(g):
-        for t, s0, s1 in zip(tensors, offsets[:-1], offsets[1:]):
+        for n, s0, s1 in zip(nodes, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(int(s0), int(s1))
-            _accum(t, g[tuple(sl)])
+            _accum(n, g[tuple(sl)])
 
-    return _result(data, tuple(tensors), backprop)
+    return _result(data, nodes, backprop)
 
 
 def mean(t: Tensor) -> Tensor:
-    data = np.asarray(t.data.mean())
+    n, shape, size = t.node, t.shape, t.size
 
     def backprop(g):
-        _accum(t, np.full(t.data.shape, float(g) / t.data.size))
+        _accum(n, np.full(shape, float(g) / size))
 
-    return _result(data, (t,), backprop)
+    return _result(np.asarray(t.data.mean()), (n,), backprop)
 
 
 def tsum(t: Tensor) -> Tensor:
-    data = np.asarray(t.data.sum())
+    n, shape = t.node, t.shape
 
     def backprop(g):
-        _accum(t, np.full(t.data.shape, float(g)))
+        _accum(n, np.full(shape, float(g)))
 
-    return _result(data, (t,), backprop)
+    return _result(np.asarray(t.data.sum()), (n,), backprop)
 
 
 def l1_norm(t: Tensor) -> Tensor:
     """Sum of absolute values. Subgradient 0 at exact zeros."""
-    data = np.asarray(np.abs(t.data).sum())
+    n, x = t.node, t.data
 
     def backprop(g):
-        _accum(t, np.sign(t.data) * float(g))
+        _accum(n, np.sign(x) * float(g))
 
-    return _result(data, (t,), backprop)
+    return _result(np.asarray(np.abs(x).sum()), (n,), backprop)
 
 
 def l2_norm(t: Tensor) -> Tensor:
     """Euclidean norm sqrt(sum x^2)."""
-    v = float(np.sqrt((t.data * t.data).sum()))
-    data = np.asarray(v)
+    n, x = t.node, t.data
+    v = float(np.sqrt((x * x).sum()))
 
     def backprop(g):
-        _accum(t, t.data / max(v, 1e-12) * float(g))
+        _accum(n, x / max(v, 1e-12) * float(g))
 
-    return _result(data, (t,), backprop)
+    return _result(np.asarray(v), (n,), backprop)
 
 
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
 
+# relu and leaky_relu read their mask off their own output, which the next
+# op usually keeps anyway: max(x, 0) > 0 and where(x > 0, x, 0.2x) > 0 each
+# hold exactly when x > 0, so the input need not be kept.
+
 def relu(t: Tensor) -> Tensor:
+    n = t.node
     data = np.maximum(t.data, 0.0)
 
     def backprop(g):
-        _accum(t, g * (t.data > 0.0))
+        _accum(n, g * (data > 0.0))
 
-    return _result(data, (t,), backprop)
+    return _result(data, (n,), backprop)
 
 
 LEAK = 0.2  # leaky_relu's negative-side gain, as in DCGAN's discriminator
@@ -298,55 +344,58 @@ LOG_FLOOR = 1e-12  # log_floor's input floor
 
 
 def leaky_relu(t: Tensor) -> Tensor:
+    n = t.node
     data = np.where(t.data > 0.0, t.data, LEAK * t.data)
 
     def backprop(g):
-        _accum(t, g * np.where(t.data > 0.0, 1.0, LEAK))
+        _accum(n, g * np.where(data > 0.0, 1.0, LEAK))
 
-    return _result(data, (t,), backprop)
+    return _result(data, (n,), backprop)
 
 
 def sigmoid(t: Tensor) -> Tensor:
+    n = t.node
     e = np.exp(-np.abs(t.data))
     data = np.where(t.data >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backprop(g):
-        _accum(t, g * data * (1.0 - data))
+        _accum(n, g * data * (1.0 - data))
 
-    return _result(data, (t,), backprop)
+    return _result(data, (n,), backprop)
 
 
 def tanh(t: Tensor) -> Tensor:
+    n = t.node
     data = np.tanh(t.data)
 
     def backprop(g):
-        _accum(t, g * (1.0 - data * data))
+        _accum(n, g * (1.0 - data * data))
 
-    return _result(data, (t,), backprop)
+    return _result(data, (n,), backprop)
 
 
 def log_floor(t: Tensor) -> Tensor:
     """log(max(x, LOG_FLOOR)); the floor keeps early-training losses finite."""
-    m = np.maximum(t.data, LOG_FLOOR)
-    data = np.log(m)
+    n, x = t.node, t.data
+    m = np.maximum(x, LOG_FLOOR)
 
     def backprop(g):
-        _accum(t, g * (t.data >= LOG_FLOOR) / m)
+        _accum(n, g * (x >= LOG_FLOOR) / m)
 
-    return _result(data, (t,), backprop)
+    return _result(np.log(m), (n,), backprop)
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted softmax; slices along `axis` sum to 1."""
-    x = t.data
+    n, x = t.node, t.data
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     s = e / e.sum(axis=axis, keepdims=True)
 
     def backprop(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
-        _accum(t, s * (g - dot))
+        _accum(n, s * (g - dot))
 
-    return _result(s, (t,), backprop)
+    return _result(s, (n,), backprop)
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +403,21 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def reshape(t: Tensor, shape) -> Tensor:
-    data = t.data.reshape(shape)
+    n, old = t.node, t.shape
 
     def backprop(g):
-        _accum(t, g.reshape(t.data.shape))
+        _accum(n, g.reshape(old))
 
-    return _result(data, (t,), backprop)
+    return _result(t.data.reshape(shape), (n,), backprop)
 
 
 def transpose_last2(t: Tensor) -> Tensor:
-    data = t.data.swapaxes(-1, -2)
+    n = t.node
 
     def backprop(g):
-        _accum(t, g.swapaxes(-1, -2))
+        _accum(n, g.swapaxes(-1, -2))
 
-    return _result(data, (t,), backprop)
+    return _result(t.data.swapaxes(-1, -2), (n,), backprop)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -385,13 +434,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul: batch dims {ad.shape[:-2]} vs {bd.shape[:-2]}"
         )
-    data = ad @ bd
+    na, nb = a.node, b.node
 
     def backprop(g):
-        _accum(a, g @ bd.swapaxes(-1, -2))
-        _accum(b, ad.swapaxes(-1, -2) @ g)
+        _accum(na, g @ bd.swapaxes(-1, -2))
+        _accum(nb, ad.swapaxes(-1, -2) @ g)
 
-    return _result(data, (a, b), backprop)
+    return _result(ad @ bd, (na, nb), backprop)
 
 
 def _mm(a, b, out=None):
@@ -486,6 +535,7 @@ def attention(f: Tensor, g: Tensor, h: Tensor) -> Tensor:
             r[:, rows] = hx @ _attn_weights(fq[:, rows], gd[b], keys, buf).T
         out[b][:, order] = r[:c] / r[c]
         plans.append((order, blocks, fq, r[c].copy()))
+    nf, ng, nh = f.node, g.node, h.node
 
     def backprop(gout):
         df, dg, dh = np.empty_like(fd), np.empty_like(gd), np.empty_like(hd)
@@ -506,11 +556,11 @@ def attention(f: Tensor, g: Tensor, h: Tensor) -> Tensor:
             dh[b] = acc[:c]
             dg[b] = (acc[c : c + k * c].reshape(k, c, hw) * hd[b]).sum(axis=1) - acc[c + k * c :]
             df[b][:, order] = dfq
-        _accum(f, df)
-        _accum(g, dg)
-        _accum(h, dh)
+        _accum(nf, df)
+        _accum(ng, dg)
+        _accum(nh, dh)
 
-    return _result(out, (f, g, h), backprop)
+    return _result(out, (nf, ng, nh), backprop)
 
 
 # ---------------------------------------------------------------------------
@@ -643,15 +693,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     k = wd.shape[2]
     out = _conv_fwd(xd, wd, stride, padding)
     out += b.data.reshape(1, -1, 1, 1)
+    nx, nw, nb = x.node, w.node, b.node
 
     def backprop(g):
-        _accum(b, g.sum(axis=(0, 2, 3)))
-        if w.requires_grad:
-            _accum(w, _conv_dw(xd, g, k, stride, padding))
-        if x.requires_grad:
-            _accum(x, _conv_dx(g, wd, xd.shape, stride, padding))
+        _accum(nb, g.sum(axis=(0, 2, 3)))
+        if nw.requires_grad:
+            _accum(nw, _conv_dw(xd, g, k, stride, padding))
+        if nx.requires_grad:
+            _accum(nx, _conv_dx(g, wd, xd.shape, stride, padding))
 
-    return _result(out, (x, w, b), backprop)
+    return _result(out, (nx, nw, nb), backprop)
 
 
 def _band(n, taps):
@@ -678,11 +729,12 @@ def separable_filter(x: Tensor, taps) -> Tensor:
         raise DimensionError(f"separable_filter: taps must be 1-D of odd length, got {taps.shape}")
     rows = _band(xd.shape[2], taps)
     cols = _band(xd.shape[3], taps)
+    n = x.node
 
     def backprop(g):
-        _accum(x, rows.T @ g @ cols)
+        _accum(n, rows.T @ g @ cols)
 
-    return _result(rows @ xd @ cols.T, (x,), backprop)
+    return _result(rows @ xd @ cols.T, (n,), backprop)
 
 
 def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
@@ -701,15 +753,16 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor
     out_shape = (n, wd.shape[1], (h - 1) * stride + k, (wdt - 1) * stride + k)
     out = _conv_dx(xd, wd, out_shape, stride, 0)
     out += b.data.reshape(1, -1, 1, 1)
+    nx, nw, nb = x.node, w.node, b.node
 
     def backprop(g):
-        _accum(b, g.sum(axis=(0, 2, 3)))
-        if w.requires_grad:
-            _accum(w, _conv_dw(g, xd, k, stride, 0))
-        if x.requires_grad:
-            _accum(x, _conv_fwd(g, wd, stride, 0))
+        _accum(nb, g.sum(axis=(0, 2, 3)))
+        if nw.requires_grad:
+            _accum(nw, _conv_dw(g, xd, k, stride, 0))
+        if nx.requires_grad:
+            _accum(nx, _conv_fwd(g, wd, stride, 0))
 
-    return _result(out, (x, w, b), backprop)
+    return _result(out, (nx, nw, nb), backprop)
 
 
 def maxpool2(x: Tensor) -> Tensor:
@@ -727,6 +780,7 @@ def maxpool2(x: Tensor) -> Tensor:
         raise DimensionError(f"maxpool2: spatial dims must be even, got {h}×{w}")
     q = {(i, j): xd[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)}  # scan order
     out = np.maximum(np.maximum(q[1, 1], q[1, 0]), np.maximum(q[0, 1], q[0, 0]))
+    n = x.node
 
     def backprop(g):
         dx = np.zeros(xd.shape)
@@ -735,9 +789,9 @@ def maxpool2(x: Tensor) -> Tensor:
             hit = free & (v == out)
             np.copyto(dx[:, :, i::2, j::2], g, where=hit)
             free ^= hit
-        _accum(x, dx)
+        _accum(n, dx)
 
-    return _result(out, (x,), backprop)
+    return _result(out, (n,), backprop)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,8 @@ def train(
         raise ConfigError("training needs at least one pair")
     w = config.weights
     extractor = losses.FeatureExtractor(2, seed=config.seed) if w.content > 0 else None
+    # the extractor is frozen and the targets fixed: each pair's features once per call
+    target_features = [extractor(T.Tensor(p.chroma)) for p in pairs] if extractor else []
 
     gen_params = list(gen_store.values())
     disc_params = list(disc_store.values())
@@ -175,7 +177,9 @@ def train(
             gan_term = losses.gan_loss(d_fake)
         mse_term = losses.mse_loss(gen_out, target_t) if w.mse > 0 else zero
         content_term = (
-            losses.content_loss(extractor, gen_out, target_t) if w.content > 0 else zero
+            losses.content_loss(extractor, gen_out, target_features[step % len(pairs)])
+            if w.content > 0
+            else zero
         )
         color_term = losses.color_loss(gen_out, target_t) if w.color > 0 else zero
 

@@ -198,7 +198,7 @@ def test_criterion_04_loss_identities():
         x = T.Tensor(rng.uniform(-1, 1, (1, 2, 12, 12)))
         assert losses.mse_loss(x, x).item() == 0.0
         extractor = losses.FeatureExtractor(2, seed=33)
-        assert losses.content_loss(extractor, x, x).item() == 0.0
+        assert losses.content_loss(extractor, x, extractor(x)).item() == 0.0
         assert losses.color_loss(x, x, theta_gen=0.065, theta_target=0.065).item() == 0.0
         unit = [T.Tensor(1.0) for _ in range(4)]
         total, _ = losses.mixed_loss(losses.LossWeights(), *unit)

@@ -7,6 +7,7 @@ identity <conv(x), y> == <x, conv_t(y)>.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -211,6 +212,87 @@ class TestBasics:
         g1, g2 = run(), run()
         assert np.array_equal(g1[0], g2[0])
         assert np.array_equal(g1[1], g2[1])
+
+
+class TestSavedArrays:
+    """The graph keeps only the arrays the gradient rules read."""
+
+    def test_conv_outputs_freed_once_dropped(self):
+        grads = []
+        for drop in (True, False):
+            rng = np.random.default_rng(21)
+            x = T.Tensor(rng.standard_normal((1, 3, 9, 10)), requires_grad=True)
+            w1, w2 = (T.Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True) for _ in "12")
+            b1, b2 = (T.Tensor(rng.standard_normal(4), requires_grad=True) for _ in "12")
+            c1, c2 = T.conv2d(x, w1, b1, 1, 1), T.conv2d(x, w2, b2, 1, 1)
+            s = c1 + c2
+            refs = [weakref.ref(c1.data), weakref.ref(c2.data)]
+            if drop:
+                del c1, c2
+                assert all(r() is None for r in refs)
+            T.backward(T.tsum(T.square(s)))
+            grads.append([t.grad for t in (x, w1, b1, w2, b2)])
+        for got, want in zip(*grads):
+            assert np.array_equal(got, want)
+
+    def test_concat_operand_and_relu_input_freed(self):
+        x = T.Tensor(np.linspace(-1.0, 1.0, 24).reshape(1, 2, 3, 4), requires_grad=True)
+        u = T.scale(x, 3.0)
+        joined = T.concat([u, x], axis=1)
+        pre = T.scale(x, -2.0)
+        out = T.relu(pre)
+        concat_ref, relu_ref = weakref.ref(u.data), weakref.ref(pre.data)
+        del u, pre
+        assert concat_ref() is None
+        assert relu_ref() is None
+        T.backward(T.tsum(joined) + T.tsum(out))
+        assert np.array_equal(x.grad, 4.0 - 2.0 * (x.data < 0.0))
+
+    @pytest.mark.parametrize(
+        "op, input_mask",
+        [(T.relu, lambda x: x > 0.0), (T.leaky_relu, lambda x: np.where(x > 0.0, 1.0, T.LEAK))],
+        ids=["relu", "leaky_relu"],
+    )
+    def test_mask_from_output_matches_input_mask(self, op, input_mask):
+        # the rule reads its output's sign; the gradient is the one an input
+        # mask gives, bit for bit, at signed zeros and subnormals too
+        xs = np.array([-1.0, -0.0, 0.0, -1e-310, 1e-310, 2.0])
+        proj = np.array([-3.0, 1.5, -0.5, 2.0, -7.0, 1.25])
+        x = T.Tensor(xs, requires_grad=True)
+        T.backward(T.tsum(T.mul(op(x), T.Tensor(proj))))
+        assert x.grad.tobytes() == (proj * input_mask(xs)).tobytes()
+
+
+class TestTracerHooks:
+    """What an outside tracer reads and writes on op outputs."""
+
+    def test_parents_walk_counts_every_node(self):
+        x = T.Tensor([1.0, -2.0], requires_grad=True)
+        c = T.Tensor([3.0, 4.0])
+        loss = T.tsum(T.tanh(T.mul(x, c)) + x)  # loss, add, tanh, mul, x, c
+        seen = {id(loss)}
+        stack = [loss]
+        while stack:
+            for p in stack.pop()._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        assert len(seen) == 6
+
+    def test_assigned_backprop_is_called(self):
+        x = T.Tensor([0.5, -1.0], requires_grad=True)
+        y = T.tanh(x)
+        rule, calls = y._backprop, []
+
+        def wrapped(g):
+            calls.append(g.copy())
+            rule(g)
+
+        y._backprop = wrapped
+        assert y._backprop is wrapped
+        T.backward(T.tsum(y))
+        assert len(calls) == 1 and np.array_equal(calls[0], [1.0, 1.0])
+        assert np.array_equal(x.grad, 1.0 - np.tanh(x.data) ** 2)
 
 
 class TestActivations:

@@ -140,6 +140,22 @@ class TestTrainLoop:
         assert stores_equal(finals[0][0], finals[1][0])
         assert stores_equal(finals[0][1], finals[1][1])
 
+    def test_content_targets_extracted_once_per_call(self, monkeypatch):
+        net_cfg, gen, disc, _ = tiny_setup(seed=13)
+        pairs = trainer.build_training_set(make_sequence(7, seed=13), pipeline.split_gops(7, 6), qp=32)
+        assert len(pairs) == 2
+        calls = []
+        extract = losses.FeatureExtractor.__call__
+
+        def counted(self, x):
+            calls.append(x.requires_grad)
+            return extract(self, x)
+
+        monkeypatch.setattr(losses.FeatureExtractor, "__call__", counted)
+        trainer.train(gen, disc, net_cfg, pairs, trainer.TrainConfig(steps=5))
+        # each pair's fixed target once, then each step's generated chroma
+        assert calls == [False, False] + [True] * 5
+
     def test_nonfinite_aborts_with_step_index(self):
         net_cfg, gen, disc, pairs = tiny_setup(seed=13)
         gen["head.w"].data[0, 0, 0, 0] = np.nan
@@ -192,9 +208,10 @@ class TestTrainLoop:
         for name, t in disc.items():
             assert np.array_equal(t.grad, disc0[name].grad), name
 
-    def test_176x144_training_peaks_under_150_mb(self):
+    def test_176x144_training_peaks_under_90_mb(self):
         # VmHWM of a fresh process: two steps at the README size with
-        # attention off (229 MB when backward kept the whole graph)
+        # attention off (229 MB when backward kept the whole graph, 108 MB
+        # when the graph kept every op output until backward; 71 MB now)
         code = textwrap.dedent("""
             import numpy as np
             from chromacodec import colorspace as cs, network, pipeline, trainer
@@ -226,7 +243,7 @@ class TestTrainLoop:
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout.split()[-1]) * 1024 < 150e6  # VmHWM is in KiB
+        assert int(proc.stdout.split()[-1]) * 1024 < 90e6  # VmHWM is in KiB
 
     def test_csv_export(self):
         net_cfg, gen, disc, pairs = tiny_setup(seed=15)
