@@ -17,9 +17,8 @@ plane = np.clip(plane, 0, 255).astype(np.uint8)
 
 print("qp  qstep    bits  bytes/px  psnr    bound-mse")
 for qp in (12, 22, 27, 32, 37, 42):
-    params = codec.CodecParams(qp=qp)
-    payload = codec.encode_plane(plane, params)
-    out = codec.decode_plane(payload, (64, 64), params)
+    payload = codec.encode_plane(plane, qp)
+    out = codec.decode_plane(payload, (64, 64), qp)
     q = codec.qstep(qp)
     quality = metrics.psnr(plane, out)
     bound = (q / 2.0) ** 2 + 0.5
@@ -27,8 +26,8 @@ for qp in (12, 22, 27, 32, 37, 42):
           f"     {quality:5.2f}  {bound:8.1f}")
 
 # The coder is deterministic: same plane, same bytes.
-p2 = codec.encode_plane(plane, codec.CodecParams(qp=32))
-print("deterministic:", p2.data == codec.encode_plane(plane, codec.CodecParams(qp=32)).data)
+p2 = codec.encode_plane(plane, 32)
+print("deterministic:", p2.data == codec.encode_plane(plane, 32).data)
 
 # Entropy layer on its own: order-0 exp-Golomb round trip.
 writer = codec.BitWriter()

@@ -17,7 +17,7 @@ mse = losses.mse_loss(generated, target)
 print(f"mse_loss      : {mse.item():.5f}")
 
 # Content loss: L1 distance in the feature space of a frozen conv pyramid.
-extractor = losses.FeatureExtractor(in_channels=2, seed=0)
+extractor = losses.FeatureExtractor(seed=0)
 content = losses.content_loss(extractor, generated, extractor(target))
 print(f"content_loss  : {content.item():.5f}")
 

@@ -8,7 +8,7 @@ a time, and the decoder reads them back that way. It is deliberately
 small: no prediction, no in-loop filters. Its job is to turn planes
 into measurable bit counts whose rate and distortion move the right way
 with QP, and to decode them back deterministically. The same plane and
-parameters always produce identical payload bytes.
+QP always produce identical payload bytes.
 """
 
 from __future__ import annotations
@@ -28,18 +28,6 @@ def qstep(qp: int) -> float:
     if not 0 <= qp <= 51:
         raise ConfigError(f"qp must be in [0, 51], got {qp}")
     return float(2.0 ** ((qp - 4) / 6.0))
-
-
-@dataclass(frozen=True)
-class CodecParams:
-    qp: int
-
-    def __post_init__(self):
-        qstep(self.qp)  # range check
-
-    @property
-    def step(self) -> float:
-        return qstep(self.qp)
 
 
 @dataclass(frozen=True)
@@ -110,10 +98,10 @@ class BitWriter:
 class BitReader:
     """Reads back what BitWriter wrote, in order, never past its bytes."""
 
-    def __init__(self, data: bytes, bit_length=None):
+    def __init__(self, data: bytes, bit_length: int):
         self._bits = bin(int.from_bytes(b"\x01" + data, "big"))[3:]
         self._pos = 0
-        self._limit = len(self._bits) if bit_length is None else min(bit_length, len(self._bits))
+        self._limit = min(bit_length, len(self._bits))
 
     def read(self, width: int) -> int:
         end = self._pos + width
@@ -211,8 +199,9 @@ def _codeword_bits(scans: np.ndarray) -> np.ndarray:
     return bits[_TAIL[width.ravel()]]
 
 
-def encode_plane(plane: np.ndarray, params: CodecParams) -> PlanePayload:
+def encode_plane(plane: np.ndarray, qp: int) -> PlanePayload:
     """Encode one uint8 plane; blocks in raster order, one EOB each."""
+    step = qstep(qp)
     arr = np.asarray(plane)
     if arr.dtype != np.uint8:  # which also keeps every codeword within 23 bits
         raise DataError(f"encode_plane codes uint8 planes, got {arr.dtype}")
@@ -220,7 +209,6 @@ def encode_plane(plane: np.ndarray, params: CodecParams) -> PlanePayload:
         raise DataError(f"encode_plane needs a non-empty 2-D plane, got shape {arr.shape}")
     padded = _pad_to_blocks(arr.astype(np.float64) - 128.0)
     coefs = dct8(_to_blocks(padded))
-    step = params.step
     # round half away from zero so the quantizer is symmetric in sign
     q = np.sign(coefs) * np.floor(np.abs(coefs) / step + 0.5)
     scans = q[:, _ZZ_ROWS, _ZZ_COLS].astype(np.int64)
@@ -230,8 +218,9 @@ def encode_plane(plane: np.ndarray, params: CodecParams) -> PlanePayload:
     return PlanePayload(np.packbits(bits).tobytes(), len(bits))
 
 
-def decode_plane(payload: PlanePayload, dims, params: CodecParams) -> np.ndarray:
+def decode_plane(payload: PlanePayload, dims, qp: int) -> np.ndarray:
     """Decode to an 8-bit plane of the given (width, height)."""
+    step = qstep(qp)
     width, height = dims
     if width <= 0 or height <= 0:
         raise DataError(f"invalid plane dims {width}×{height}")
@@ -263,6 +252,6 @@ def decode_plane(payload: PlanePayload, dims, params: CodecParams) -> np.ndarray
         raise DataError(f"{unread} bits left unread after {nblocks} coded blocks")
 
     coefs = np.zeros((nblocks, BLOCK, BLOCK))
-    coefs[:, _ZZ_ROWS, _ZZ_COLS] = scans * params.step
+    coefs[:, _ZZ_ROWS, _ZZ_COLS] = scans * step
     padded = _from_blocks(idct8(coefs), ph, pw) + 128.0
     return round_clamp_u8(padded)[:height, :width]

@@ -95,9 +95,9 @@ class FeatureExtractor:
     standing in for a pre-trained deep feature layer.
     """
 
-    def __init__(self, in_channels: int, seed: int = 0):
+    def __init__(self, seed: int = 0):
         self.layers = []
-        cin = in_channels
+        cin = 2  # the generator's two chroma channels
         for i, cout in enumerate((8, 16, 32, 32)):
             rng = _rng_for(seed, f"feat{i}")
             bound = 1.0 / np.sqrt(cin * 9)

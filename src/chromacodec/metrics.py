@@ -135,7 +135,7 @@ def delta_psnr(proposed: RDPoint, anchor: RDPoint) -> float:
 
 def _require_four(a: RDCurve, b: RDCurve):
     if len(a.points) < 4 or len(b.points) < 4:
-        raise ConfigError(
+        raise DataError(
             f"curve comparison needs ≥ 4 points per curve, got {len(a.points)} and {len(b.points)}"
         )
 

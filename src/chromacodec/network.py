@@ -120,12 +120,6 @@ def _generator_tensors(config: NetworkConfig) -> tuple:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=16)
-def _value_offsets(config: NetworkConfig) -> tuple:
-    """Where each generator tensor's values end, counted in float64 values."""
-    return tuple(itertools.accumulate(math.prod(s) for _, s, _ in _generator_tensors(config)))
-
-
 def _init(tensors, seed: int) -> dict[str, T.Tensor]:
     """Uniform ±1/√fan_in per tensor from its own (seed, name) stream; zeros at fan_in 0."""
     store = {}
@@ -312,11 +306,12 @@ def deserialize_weights(blob: bytes):
         )
     except ConfigError as exc:
         raise DataError(f"bad weight file header: {exc}") from exc
-    ends = _value_offsets(config)
+    tensors = _generator_tensors(config)
+    ends = list(itertools.accumulate(math.prod(s) for _, s, _ in tensors))
     values = np.frombuffer(r.take(8 * ends[-1], "weight values"), dtype="<f8")
     r.finish("weight values")
     store = {}
-    for (name, shape, _), flat in zip(_generator_tensors(config), np.split(values, ends[:-1])):
+    for (name, shape, _), flat in zip(tensors, np.split(values, ends[:-1])):
         try:
             store[name] = T.Tensor(flat.reshape(shape))
         except NumericError as exc:

@@ -89,7 +89,6 @@ def encode_sequence(frames, qp: int, gop: GopStructure, gen_store, net_config, f
         raise DimensionError(
             f"gop structure covers {gop.frame_count} frames, got {len(frames)}"
         )
-    params = codec.CodecParams(qp=qp)
     first = frames[0]
     w, h = first.y.width, first.y.height
     if w % 8 or h % 8:
@@ -103,12 +102,12 @@ def encode_sequence(frames, qp: int, gop: GopStructure, gen_store, net_config, f
         if gop.is_anchor(i):
             sub = subsample(frame)
             payloads = tuple(
-                codec.encode_plane(p.samples, params) for p in (sub.y, sub.cb, sub.cr)
+                codec.encode_plane(p.samples, qp) for p in (sub.y, sub.cb, sub.cr)
             )
             records.append(FrameRecord(ANCHOR, payloads))
         else:
             records.append(
-                FrameRecord(LUMA_ONLY, (codec.encode_plane(frame.y.samples, params),))
+                FrameRecord(LUMA_ONLY, (codec.encode_plane(frame.y.samples, qp),))
             )
     # weights are spatial-size agnostic: the stream's weight header carries the frame dims
     blob = network.serialize_weights(gen_store, replace(net_config, width=w, height=h))
@@ -118,16 +117,15 @@ def encode_sequence(frames, qp: int, gop: GopStructure, gen_store, net_config, f
 
 def decode_sequence(video: CompressedVideo):
     """Decompress to 4:4:4 frames, colorizing the luma-only ones."""
-    params = codec.CodecParams(qp=video.qp)
     store, net_config = network.deserialize_weights(video.weight_blob)
     dims = (video.width, video.height)
     cdims = chroma_dims(video.width, video.height, SubsamplingMode.S420)
     frames = []
     for i, record in enumerate(video.records):
         try:
-            y = codec.decode_plane(record.payloads[0], dims, params)
+            y = codec.decode_plane(record.payloads[0], dims, video.qp)
             if record.kind == ANCHOR:
-                cb, cr = (codec.decode_plane(p, cdims, params) for p in record.payloads[1:])
+                cb, cr = (codec.decode_plane(p, cdims, video.qp) for p in record.payloads[1:])
                 frames.append(upsample(Frame(Plane(y), Plane(cb), Plane(cr), SubsamplingMode.S420)))
                 continue
             luma = T.Tensor(network.luma_to_unit(y)[None, None])
@@ -186,7 +184,7 @@ def deserialize_video(data: bytes) -> CompressedVideo:
     if version != _VERSION:
         raise DataError(f"unsupported container version {version}")
     try:
-        codec.CodecParams(qp)
+        codec.qstep(qp)  # raises on a QP outside 0-51
         gop = GopStructure(gop_size, frame_count)
     except ConfigError as exc:
         raise DataError(f"bad stream header: {exc}") from exc

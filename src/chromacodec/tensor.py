@@ -83,7 +83,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise DimensionError(f"item() needs a scalar, got shape {self.shape}")
-        return float(self.data)
+        return self.data.item()
 
     def detach(self) -> "Tensor":
         """Same values, cut loose from the graph."""
@@ -262,13 +262,11 @@ def concat(tensors, axis: int) -> Tensor:
     base = tensors[0].data.shape
     for t in tensors[1:]:
         s = t.data.shape
-        if len(s) != len(base) or any(
-            i != axis and s[i] != base[i] for i in range(len(base))
-        ):
-            bad = next(i for i in range(len(base)) if i != axis and s[i] != base[i])
-            raise DimensionError(
-                f"concat: operand shape {s} differs from {base} on axis {bad}"
-            )
+        if len(s) != len(base):
+            raise DimensionError(f"concat: operand rank {len(s)} differs from {len(base)}")
+        for i in range(len(base)):
+            if i != axis and s[i] != base[i]:
+                raise DimensionError(f"concat: operand shape {s} differs from {base} on axis {i}")
     data = np.concatenate([t.data for t in tensors], axis=axis)
     nodes = tuple(t.node for t in tensors)
     offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
@@ -385,14 +383,14 @@ def log_floor(t: Tensor) -> Tensor:
     return _result(np.log(m), (n,), backprop)
 
 
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax; slices along `axis` sum to 1."""
+def softmax(t: Tensor) -> Tensor:
+    """Max-subtracted softmax; slices along the last axis sum to 1."""
     n, x = t.node, t.data
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    s = e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def backprop(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
+        dot = (g * s).sum(axis=-1, keepdims=True)
         _accum(n, s * (g - dot))
 
     return _result(s, (n,), backprop)
@@ -798,14 +796,11 @@ def maxpool2(x: Tensor) -> Tensor:
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def grad_check(
-    fn,
-    shapes,
-    seed: int = 0,
-    h: float = 1e-5,
-    max_coords: int = 64,
-    floor: float = 1e-8,
-) -> float:
+FD_STEP = 1e-5  # central-difference step
+FD_FLOOR = 1e-8  # relative errors are taken against at least this magnitude
+
+
+def grad_check(fn, shapes, seed: int = 0, max_coords: int = 64) -> float:
     """Compare analytic gradients of `fn` against central differences.
 
     `shapes` is a list whose entries are either shape tuples (filled with
@@ -813,7 +808,7 @@ def grad_check(
     given, letting callers probe network weights). If `fn` returns a
     non-scalar, it is projected onto a fixed random direction so every
     output element influences the loss. Returns the max relative error,
-    |analytic - numeric| / max(|analytic|, |numeric|, floor).
+    |analytic - numeric| / max(|analytic|, |numeric|, FD_FLOOR).
     """
     rng = np.random.default_rng(seed)
     inputs = []
@@ -852,13 +847,13 @@ def grad_check(
         flat = t.data.reshape(-1)
         for ci in coords:
             orig = flat[ci]
-            flat[ci] = orig + h
-            fp = float(run().data)
-            flat[ci] = orig - h
-            fm = float(run().data)
+            flat[ci] = orig + FD_STEP
+            fp = run().data.item()
+            flat[ci] = orig - FD_STEP
+            fm = run().data.item()
             flat[ci] = orig
-            numeric = (fp - fm) / (2.0 * h)
+            numeric = (fp - fm) / (2.0 * FD_STEP)
             a = float(ga.reshape(-1)[ci])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), FD_FLOOR)
             worst = max(worst, rel)
     return worst

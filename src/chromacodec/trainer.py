@@ -74,14 +74,13 @@ def adam_step(tensors, state: AdamState) -> None:
 
 def build_training_set(frames, gop, qp: int):
     """Anchor-frame pairs: codec-decoded luma inputs, pristine chroma targets."""
-    params = codec.CodecParams(qp=qp)
     pairs = []
     for idx in gop.anchors:
         frame: Frame = frames[idx]
         if frame.mode is not SubsamplingMode.S444:
             raise ConfigError("training frames must be 4:4:4")
         w, h = frame.y.width, frame.y.height
-        decoded = codec.decode_plane(codec.encode_plane(frame.y.samples, params), (w, h), params)
+        decoded = codec.decode_plane(codec.encode_plane(frame.y.samples, qp), (w, h), qp)
         luma = network.luma_to_unit(decoded)[None, None]
         chroma = np.stack(
             [
@@ -138,7 +137,7 @@ def train(
     if not pairs:
         raise ConfigError("training needs at least one pair")
     w = config.weights
-    extractor = losses.FeatureExtractor(2, seed=config.seed) if w.content > 0 else None
+    extractor = losses.FeatureExtractor(seed=config.seed) if w.content > 0 else None
     # the extractor is frozen and the targets fixed: each pair's features once per call
     target_features = [extractor(T.Tensor(p.chroma)) for p in pairs] if extractor else []
 

@@ -197,7 +197,7 @@ def test_criterion_04_loss_identities():
         rng = np.random.default_rng(33)
         x = T.Tensor(rng.uniform(-1, 1, (1, 2, 12, 12)))
         assert losses.mse_loss(x, x).item() == 0.0
-        extractor = losses.FeatureExtractor(2, seed=33)
+        extractor = losses.FeatureExtractor(seed=33)
         assert losses.content_loss(extractor, x, extractor(x)).item() == 0.0
         assert losses.color_loss(x, x, theta_gen=0.065, theta_target=0.065).item() == 0.0
         unit = [T.Tensor(1.0) for _ in range(4)]
@@ -230,10 +230,9 @@ def test_criterion_06_codec_properties():
         plane = rng.integers(0, 256, (64, 64)).astype(np.uint8)
         bits = []
         for qp in (27, 32, 37, 42):
-            params = codec.CodecParams(qp=qp)
-            enc = codec.encode_plane(plane, params)
+            enc = codec.encode_plane(plane, qp)
             bits.append(enc.bit_length)
-            out = codec.decode_plane(enc, (64, 64), params)
+            out = codec.decode_plane(enc, (64, 64), qp)
             bound = (codec.qstep(qp) / 2.0) ** 2 + 0.5
             err = (out.astype(float) - plane.astype(float)) ** 2
             block_mse = err.reshape(8, 8, 8, 8).mean(axis=(1, 3))

@@ -479,6 +479,15 @@ class TestRdReport:
         assert captured.out == ""
         assert "not finite: bd_rate_percent" in captured.err and "Traceback" not in captured.err
 
+    def test_three_point_curves_are_data_error(self, tmp_path, capsys):
+        csvs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in csvs:
+            metrics.write_curve(path, metrics.curve([(100, 30), (200, 32), (400, 34)]))
+        assert run(["rd-report", "--anchor", csvs[0], "--proposed", csvs[1]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "4 points" in captured.err and "Traceback" not in captured.err
+
     def test_report_to_stdout(self, tmp_path, capsys):
         curve_csv = tmp_path / "c.csv"
         metrics.write_curve(curve_csv, metrics.curve(ref.anchor_points("Johnny")))

@@ -47,11 +47,11 @@ def golomb_bits(value):
     )
 
 
-def loop_encode_plane(plane, params):
+def loop_encode_plane(plane, qp):
     """The per-codeword encoder that the array pass replaced: the oracle."""
     padded = codec._pad_to_blocks(plane.astype(np.float64) - 128.0)
     coefs = codec.dct8(codec._to_blocks(padded))
-    q = np.sign(coefs) * np.floor(np.abs(coefs) / params.step + 0.5)
+    q = np.sign(coefs) * np.floor(np.abs(coefs) / codec.qstep(qp) + 0.5)
     writer = codec.BitWriter()
     for scan in q[:, codec._ZZ_ROWS, codec._ZZ_COLS].astype(np.int64):
         prev = -1
@@ -121,7 +121,7 @@ class TestTransform:
 
     def test_qp_range_checked(self):
         with pytest.raises(ConfigError):
-            codec.CodecParams(qp=52)
+            codec.encode_plane(np.zeros((8, 8), dtype=np.uint8), 52)
         with pytest.raises(ConfigError):
             codec.qstep(-1)
 
@@ -217,28 +217,27 @@ class TestEntropy:
 class TestPlaneCodec:
     def test_constant_plane_is_all_eob(self):
         plane = np.full((32, 32), 128, dtype=np.uint8)
-        payload = codec.encode_plane(plane, codec.CodecParams(qp=27))
+        payload = codec.encode_plane(plane, 27)
         blocks = 16
         assert len(payload.data) < 2 * blocks
-        back = codec.decode_plane(payload, (32, 32), codec.CodecParams(qp=27))
+        back = codec.decode_plane(payload, (32, 32), 27)
         assert np.array_equal(back, plane)
 
     @pytest.mark.parametrize("qp", [27, 32, 37, 42])
     def test_distortion_bound(self, qp):
         rng = np.random.default_rng(23)
         plane = rng.integers(0, 256, size=(64, 64), dtype=np.uint8)
-        params = codec.CodecParams(qp=qp)
         back = codec.decode_plane(
-            codec.encode_plane(plane, params), (64, 64), params
+            codec.encode_plane(plane, qp), (64, 64), qp
         )
         mse = float(np.mean((back.astype(float) - plane.astype(float)) ** 2))
-        assert mse <= (params.step / 2.0) ** 2 + 0.5
+        assert mse <= (codec.qstep(qp) / 2.0) ** 2 + 0.5
 
     def test_bitrate_monotone_in_qp(self):
         rng = np.random.default_rng(24)
         plane = rng.integers(0, 256, size=(64, 64), dtype=np.uint8)
         bits = [
-            codec.encode_plane(plane, codec.CodecParams(qp=qp)).bit_length
+            codec.encode_plane(plane, qp).bit_length
             for qp in (27, 32, 37, 42)
         ]
         assert bits[0] > bits[1] > bits[2] > bits[3]
@@ -246,35 +245,34 @@ class TestPlaneCodec:
     def test_deterministic_bytes(self):
         rng = np.random.default_rng(25)
         plane = rng.integers(0, 256, size=(40, 24), dtype=np.uint8)
-        params = codec.CodecParams(qp=32)
-        a = codec.encode_plane(plane, params)
-        b = codec.encode_plane(plane, params)
+        qp = 32
+        a = codec.encode_plane(plane, qp)
+        b = codec.encode_plane(plane, qp)
         assert a.data == b.data and a.bit_length == b.bit_length
 
     def test_non_multiple_of_8_dims(self):
         rng = np.random.default_rng(26)
         plane = rng.integers(0, 256, size=(13, 21), dtype=np.uint8)
-        params = codec.CodecParams(qp=27)
-        back = codec.decode_plane(codec.encode_plane(plane, params), (21, 13), params)
+        qp = 27
+        back = codec.decode_plane(codec.encode_plane(plane, qp), (21, 13), qp)
         assert back.shape == (13, 21)
         mse = float(np.mean((back.astype(float) - plane.astype(float)) ** 2))
-        assert mse <= (params.step / 2.0) ** 2 + 0.5
+        assert mse <= (codec.qstep(qp) / 2.0) ** 2 + 0.5
 
     def test_smooth_content_codes_smaller(self):
         grad = np.tile(np.arange(64, dtype=np.uint8) * 2, (64, 1))
         rng = np.random.default_rng(27)
         noise = rng.integers(0, 256, size=(64, 64), dtype=np.uint8)
-        params = codec.CodecParams(qp=32)
+        qp = 32
         assert (
-            codec.encode_plane(grad, params).bit_length
-            < codec.encode_plane(noise, params).bit_length
+            codec.encode_plane(grad, qp).bit_length
+            < codec.encode_plane(noise, qp).bit_length
         )
 
     @settings(deadline=None, max_examples=150)
     @given(planes(), st.integers(0, 51))
     def test_matches_per_codeword_encoder(self, plane, qp):
-        params = codec.CodecParams(qp=qp)
-        assert codec.encode_plane(plane, params) == loop_encode_plane(plane, params)
+        assert codec.encode_plane(plane, qp) == loop_encode_plane(plane, qp)
 
     @pytest.mark.parametrize(
         "plane",
@@ -289,7 +287,7 @@ class TestPlaneCodec:
     )
     def test_non_uint8_plane_rejected(self, plane):
         with pytest.raises(DataError, match="uint8"):
-            codec.encode_plane(plane, codec.CodecParams(qp=27))
+            codec.encode_plane(plane, 27)
 
     def test_peak_memory_bounded(self):
         # 41,788,516 bytes is the traced peak of the per-codeword encoder
@@ -297,7 +295,7 @@ class TestPlaneCodec:
         plane = np.random.default_rng(29).integers(0, 256, (512, 512), dtype=np.uint8)
         tracemalloc.start()
         try:
-            codec.encode_plane(plane, codec.CodecParams(qp=0))
+            codec.encode_plane(plane, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -305,33 +303,33 @@ class TestPlaneCodec:
 
     def test_empty_plane_rejected(self):
         with pytest.raises(DataError):
-            codec.encode_plane(np.zeros((0, 8), dtype=np.uint8), codec.CodecParams(qp=27))
+            codec.encode_plane(np.zeros((0, 8), dtype=np.uint8), 27)
 
     def test_declared_blocks_need_their_eob_bits(self):
         # a constant plane is one 13-bit EOB per block, exactly the bound
-        params = codec.CodecParams(qp=27)
-        payload = codec.encode_plane(np.full((16, 16), 128, dtype=np.uint8), params)
+        qp = 27
+        payload = codec.encode_plane(np.full((16, 16), 128, dtype=np.uint8), qp)
         assert payload.bit_length == 4 * 13
-        assert codec.decode_plane(payload, (16, 16), params).shape == (16, 16)
+        assert codec.decode_plane(payload, (16, 16), qp).shape == (16, 16)
         with pytest.raises(DataError, match="cannot hold 6 coded blocks"):
-            codec.decode_plane(payload, (24, 16), params)
+            codec.decode_plane(payload, (24, 16), qp)
 
     @pytest.mark.parametrize("tail, dims", [(b"\xff" * 100, (16, 16)), (b"", (8, 8))])
     def test_unread_bits_are_data_error(self, tail, dims):
         # a stored payload is whole bytes, so it may end in up to 7 padding
         # bits; 100 appended bytes, or luma read at chroma dims, leave more
-        params = codec.CodecParams(qp=32)
+        qp = 32
         plane = np.random.default_rng(30).integers(0, 256, (16, 16), dtype=np.uint8)
-        payload = codec.encode_plane(plane, params)
+        payload = codec.encode_plane(plane, qp)
         stored = codec.PlanePayload(payload.data, 8 * len(payload.data))
         assert 0 < stored.bit_length - payload.bit_length <= 7
         assert np.array_equal(
-            codec.decode_plane(stored, (16, 16), params),
-            codec.decode_plane(payload, (16, 16), params),
+            codec.decode_plane(stored, (16, 16), qp),
+            codec.decode_plane(payload, (16, 16), qp),
         )
         data = payload.data + tail
         with pytest.raises(DataError, match="left unread"):
-            codec.decode_plane(codec.PlanePayload(data, 8 * len(data)), dims, params)
+            codec.decode_plane(codec.PlanePayload(data, 8 * len(data)), dims, qp)
 
     def test_huge_declared_dims_allocate_nothing(self):
         # 65535×65535 is 67,108,864 blocks, 32 GiB of coefficients; the
@@ -341,10 +339,10 @@ class TestPlaneCodec:
             resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
             import numpy as np
             from chromacodec import DataError, codec
-            params = codec.CodecParams(qp=32)
-            payload = codec.encode_plane(np.zeros((16, 16), dtype=np.uint8), params)
+            qp = 32
+            payload = codec.encode_plane(np.zeros((16, 16), dtype=np.uint8), qp)
             try:
-                codec.decode_plane(payload, (65535, 65535), params)
+                codec.decode_plane(payload, (65535, 65535), qp)
             except DataError as exc:
                 print(exc)
         """)
@@ -360,7 +358,7 @@ class TestPlaneCodec:
     def test_arbitrary_bytes_decode_or_raise_data_error(self, data, width, height, qp):
         payload = codec.PlanePayload(data, 8 * len(data))
         try:
-            plane = codec.decode_plane(payload, (width, height), codec.CodecParams(qp=qp))
+            plane = codec.decode_plane(payload, (width, height), qp)
         except DataError:
             return
         assert plane.dtype == np.uint8 and plane.shape == (height, width)
@@ -368,6 +366,6 @@ class TestPlaneCodec:
     def test_low_qp_near_lossless(self):
         rng = np.random.default_rng(28)
         plane = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        params = codec.CodecParams(qp=0)
-        back = codec.decode_plane(codec.encode_plane(plane, params), (16, 16), params)
+        qp = 0
+        back = codec.decode_plane(codec.encode_plane(plane, qp), (16, 16), qp)
         assert np.max(np.abs(back.astype(int) - plane.astype(int))) <= 1

@@ -193,13 +193,13 @@ class TestContentLoss:
 
     def test_equal_inputs_zero(self):
         rng = np.random.default_rng(9)
-        ext = L.FeatureExtractor(2, seed=0)
+        ext = L.FeatureExtractor(seed=0)
         x = T.Tensor(rng.standard_normal((1, 2, 16, 16)))
         assert L.content_loss(ext, x, ext(x)).item() == 0.0
 
     def test_target_gets_no_gradient(self):
         rng = np.random.default_rng(10)
-        ext = L.FeatureExtractor(2, seed=0)
+        ext = L.FeatureExtractor(seed=0)
         gen = T.Tensor(rng.standard_normal((1, 2, 16, 16)), requires_grad=True)
         tgt = T.Tensor(rng.standard_normal((1, 2, 16, 16)), requires_grad=True)
         T.backward(L.content_loss(ext, gen, ext(tgt)))
@@ -207,13 +207,13 @@ class TestContentLoss:
         assert tgt.grad is None
 
     def test_feature_shape_mismatch_raises(self):
-        ext = L.FeatureExtractor(2, seed=0)
+        ext = L.FeatureExtractor(seed=0)
         gen = T.Tensor(np.zeros((1, 2, 16, 16)))
         with pytest.raises(DimensionError):
             L.content_loss(ext, gen, ext(T.Tensor(np.zeros((1, 2, 32, 32)))))
 
     def test_gradient_wrt_gen(self):
-        ext = L.FeatureExtractor(2, seed=0)
+        ext = L.FeatureExtractor(seed=0)
         rng = np.random.default_rng(11)
         ft = ext(T.Tensor(rng.standard_normal((1, 2, 16, 16))))
         err = T.grad_check(lambda g: L.content_loss(ext, g, ft), [(1, 2, 16, 16)], seed=12)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromacodec import ChromaCodecError, ConfigError, DataError, DimensionError
+from chromacodec import ChromaCodecError, DataError, DimensionError
 from chromacodec import colorspace as cs
 from chromacodec import metrics
 
@@ -236,7 +236,7 @@ class TestBdMetrics:
 
     def test_too_few_points(self):
         a = metrics.curve([(100, 30), (200, 32), (400, 34)])
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError):
             metrics.bd_psnr(a, a)
 
     def test_disjoint_curves(self):

@@ -130,7 +130,7 @@ class TestSelfAttention:
         x = T.Tensor(rng.standard_normal((1, 8, 4, 4)))
         f = T.reshape(T.conv2d(x, store["att1.f.w"], store["att1.f.b"]), (1, -1, 16))
         g = T.reshape(T.conv2d(x, store["att1.g.w"], store["att1.g.b"]), (1, -1, 16))
-        attn = T.softmax(T.matmul(T.transpose_last2(f), g), axis=-1)
+        attn = T.softmax(T.matmul(T.transpose_last2(f), g))
         assert np.max(np.abs(attn.data.sum(axis=-1) - 1.0)) < 1e-9
 
     def test_key_channels_round_up(self):
@@ -283,6 +283,14 @@ class TestDiscriminator:
         img = T.Tensor(rng.uniform(-1, 1, (1, 3, 16, 16)), requires_grad=True)
         T.backward(T.mean(net.discriminator_forward(store, img)))
         assert img.grad is not None and np.any(img.grad != 0.0)
+
+    def test_grad_check_at_one_patch(self):
+        # an 8×8 input gives a (1, 1, 1, 1) patch map, checked without a projection
+        store = net.init_discriminator(small_config(), seed=22)
+        img = T.Tensor(np.random.default_rng(16).uniform(-1, 1, (1, 3, 8, 8)), requires_grad=True)
+        params = [store["c1.w"], store["c5.b"], img]
+        err = T.grad_check(lambda *_: net.discriminator_forward(store, img), params, max_coords=8)
+        assert err < 1e-4
 
     def test_channel_check(self):
         cfg = small_config()

@@ -291,13 +291,13 @@ class TestDecode:
         video, _ = pipeline.encode_sequence(frames, 32, pipeline.split_gops(1, 6), store, cfg)
         decoded = pipeline.decode_sequence(video)[0]
 
-        params = codec.CodecParams(qp=32)
+        qp = 32
         sub = cs.subsample(frames[0])
         want_y = codec.decode_plane(
-            codec.encode_plane(sub.y.samples, params), (16, 16), params
+            codec.encode_plane(sub.y.samples, qp), (16, 16), qp
         )
         want_cb = codec.decode_plane(
-            codec.encode_plane(sub.cb.samples, params), (8, 8), params
+            codec.encode_plane(sub.cb.samples, qp), (8, 8), qp
         )
         manual = cs.upsample(
             cs.Frame(
@@ -305,7 +305,7 @@ class TestDecode:
                 cs.Plane(want_cb),
                 cs.Plane(
                     codec.decode_plane(
-                        codec.encode_plane(sub.cr.samples, params), (8, 8), params
+                        codec.encode_plane(sub.cr.samples, qp), (8, 8), qp
                     )
                 ),
                 cs.SubsamplingMode.S420,
@@ -320,8 +320,7 @@ class TestDecode:
         store, cfg = tiny_net(seed=11)
         video, _ = pipeline.encode_sequence(frames, 37, pipeline.split_gops(2, 6), store, cfg)
         decoded = pipeline.decode_sequence(video)
-        params = codec.CodecParams(qp=37)
-        standalone = codec.decode_plane(video.records[1].payloads[0], (16, 16), params)
+        standalone = codec.decode_plane(video.records[1].payloads[0], (16, 16), 37)
         assert np.array_equal(decoded[1].y.samples, standalone)
 
     def test_zero_generator_gives_neutral_chroma(self):

@@ -128,6 +128,18 @@ class TestBasics:
         T.backward(T.mean(a))
         assert np.allclose(a.grad, 1.0 / 12.0)
 
+    def test_item_of_one_element_array(self):
+        assert T.Tensor([2.5]).item() == 2.5
+        assert T.Tensor(np.full((1, 1, 1, 1), -0.5)).item() == -0.5
+
+    @pytest.mark.parametrize(
+        "first,second,message",
+        [((2, 3, 4), (2, 3), "rank"), ((2, 3), (2, 3, 4), "rank"), ((2, 3, 4), (2, 3, 5), "axis 2")],
+    )
+    def test_concat_shape_mismatch_is_dimension_error(self, first, second, message):
+        with pytest.raises(DimensionError, match=message):
+            T.concat([T.Tensor(np.zeros(first)), T.Tensor(np.zeros(second))], axis=1)
+
     def test_scalar_required_for_backward(self):
         a = T.Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(DimensionError):
@@ -304,14 +316,14 @@ class TestActivations:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         x = T.Tensor(rng.standard_normal((3, 7, 5)) * 50.0)
-        s = T.softmax(x, axis=-1)
+        s = T.softmax(x)
         assert np.allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((4, 6))
-        a = T.softmax(T.Tensor(x), axis=-1).data
-        b = T.softmax(T.Tensor(x + 123.0), axis=-1).data
+        a = T.softmax(T.Tensor(x)).data
+        b = T.softmax(T.Tensor(x + 123.0)).data
         assert np.allclose(a, b, atol=1e-12)
 
     def test_sigmoid_extremes_stable(self):
@@ -521,7 +533,7 @@ class TestGradients:
         assert err < 1e-4
 
     def test_softmax(self):
-        err = T.grad_check(lambda x: T.softmax(x, axis=-1), [(3, 6)], seed=4)
+        err = T.grad_check(T.softmax, [(3, 6)], seed=4)
         assert err < 1e-4
 
     def test_activations(self):
@@ -558,7 +570,7 @@ class TestGradients:
 def composite_attention(f, g, h):
     """The attention graph built from matmul, softmax and transpose_last2."""
     scores = T.matmul(T.transpose_last2(f), g)
-    return T.matmul(h, T.transpose_last2(T.softmax(scores, axis=-1)))
+    return T.matmul(h, T.transpose_last2(T.softmax(scores)))
 
 
 class TestAttention:
