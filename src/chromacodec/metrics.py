@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .colorspace import Frame
 from .errors import ConfigError, DataError, DimensionError
+from .tensor import _correlate_valid
 
 
 def _plane_data(p) -> np.ndarray:
@@ -57,12 +57,6 @@ _SSIM_TAPS = np.exp(-np.arange(-5.0, 6.0) ** 2 / (2.0 * 1.5**2))
 _SSIM_TAPS /= _SSIM_TAPS.sum()
 
 
-def _ssim_filter(x: np.ndarray) -> np.ndarray:
-    """Valid-region correlation with outer(_SSIM_TAPS, _SSIM_TAPS)."""
-    rows = sliding_window_view(x, len(_SSIM_TAPS), axis=1) @ _SSIM_TAPS
-    return sliding_window_view(rows, len(_SSIM_TAPS), axis=0) @ _SSIM_TAPS
-
-
 def ssim(a, b) -> float:
     """Structural similarity over the valid (fully covered) region."""
     da, db = _plane_data(a), _plane_data(b)
@@ -73,10 +67,10 @@ def ssim(a, b) -> float:
         raise DimensionError(f"plane {da.shape} smaller than the {size}×{size} window")
     c1 = (0.01 * 255.0) ** 2
     c2 = (0.03 * 255.0) ** 2
-    mu_a, mu_b = _ssim_filter(da), _ssim_filter(db)
-    var_a = _ssim_filter(da * da) - mu_a * mu_a
-    var_b = _ssim_filter(db * db) - mu_b * mu_b
-    cov = _ssim_filter(da * db) - mu_a * mu_b
+    mu_a, mu_b = _correlate_valid(da, _SSIM_TAPS), _correlate_valid(db, _SSIM_TAPS)
+    var_a = _correlate_valid(da * da, _SSIM_TAPS) - mu_a * mu_a
+    var_b = _correlate_valid(db * db, _SSIM_TAPS) - mu_b * mu_b
+    cov = _correlate_valid(da * db, _SSIM_TAPS) - mu_a * mu_b
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,21 @@ class TestColorLossReference:
             results.append((loss.data, gen.grad))
         for got, want in zip(*results):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 8, 4096), (1, 2, 4096, 8)])
+    def test_peak_memory_linear_in_pixels(self, shape):
+        # a few padded copies of the input at most, at either aspect ratio;
+        # a dense H×H or W×W filter matrix grows with the square of one side
+        rng = np.random.default_rng(31)
+        gen = T.Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+        target = T.Tensor(rng.uniform(-1, 1, shape))
+        tracemalloc.start()
+        try:
+            T.backward(L.color_loss(gen, target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * gen.data.nbytes
 
     def test_176x144_peaks_under_150_mb(self):
         # VmHWM, not ru_maxrss: a spawned child's ru_maxrss starts from this

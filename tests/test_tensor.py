@@ -140,6 +140,20 @@ class TestBasics:
         with pytest.raises(DimensionError, match=message):
             T.concat([T.Tensor(np.zeros(first)), T.Tensor(np.zeros(second))], axis=1)
 
+    def test_concat_negative_axis(self):
+        a = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        b = T.Tensor(np.arange(8.0).reshape(2, 4), requires_grad=True)
+        out = T.concat([a, b], axis=-1)
+        assert np.array_equal(out.data, np.concatenate([a.data, b.data], axis=-1))
+        g = np.arange(14.0).reshape(2, 7)
+        T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+        assert np.array_equal(a.grad, g[:, :3]) and np.array_equal(b.grad, g[:, 3:])
+
+    @pytest.mark.parametrize("axis", [2, 5, -3])
+    def test_concat_axis_out_of_range_is_dimension_error(self, axis):
+        with pytest.raises(DimensionError, match=f"axis {axis} out of range for rank 2"):
+            T.concat([T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3)))], axis=axis)
+
     def test_scalar_required_for_backward(self):
         a = T.Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(DimensionError):
@@ -492,6 +506,10 @@ class TestConv:
         with pytest.raises(DimensionError):
             T.maxpool2(T.Tensor(np.zeros((1, 1, 3, 4))))
 
+    def test_maxpool_needs_4d_input(self):
+        with pytest.raises(DimensionError, match="N×C×H×W"):
+            T.maxpool2(T.Tensor(np.zeros((1, 4, 4))))
+
 
 class TestGradients:
     """Central finite differences, h = 1e-5, relative error under 1e-4."""
@@ -648,8 +666,8 @@ def dense_separable_filter(x, taps):
 
 
 class TestSeparableFilter:
-    # asymmetric taps, so a transposed band in backward would show; (1, 2, 24, 40)
-    # cuts the band at both edges, (2, 3, 6, 9) has taps longer than H and W
+    # asymmetric taps, so a backward that did not reverse them would show;
+    # (1, 2, 24, 40) is longer than the taps on both axes, (2, 3, 6, 9) shorter
     @pytest.mark.parametrize("shape", [(1, 2, 24, 40), (2, 3, 6, 9)])
     def test_matches_dense_conv2d(self, shape):
         rng = np.random.default_rng(shape[2])
