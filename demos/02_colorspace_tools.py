@@ -1,10 +1,7 @@
-"""Color conversion, chroma subsampling, and the raw/PPM file formats.
+"""Color conversion, chroma subsampling, and the raw/PPM byte formats.
 
 Run: python3 demos/02_colorspace_tools.py
 """
-
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -31,16 +28,15 @@ v420 = cs.mode_volume(64, 48, cs.SubsamplingMode.S420)
 v400 = cs.mode_volume(64, 48, cs.SubsamplingMode.S400)
 print(f"4:0:0 / 4:2:0 = {v400}/{v420} = {v400 / v420:.4f}")
 
-with tempfile.TemporaryDirectory() as tmp:
-    tmp = Path(tmp)
-    # Headerless raw video: N frames back to back, planar within each frame.
-    frames = [cs.subsample(frame) for _ in range(3)]
-    cs.write_raw(tmp / "clip.yuv", frames)
-    again = cs.read_raw(tmp / "clip.yuv", 64, 48, cs.SubsamplingMode.S420)
-    print("raw file frames:", len(again),
-          "bit-exact:", all(np.array_equal(a.y.samples, b.y.samples)
-                            for a, b in zip(frames, again)))
+# Headerless raw video: N frames back to back, planar within each frame.
+frames = [cs.subsample(frame) for _ in range(3)]
+raw = cs.frames_to_bytes(frames)
+again = cs.frames_from_bytes(raw, 64, 48, cs.SubsamplingMode.S420)
+print("raw bytes:", len(raw), "frames:", len(again),
+      "bit-exact:", all(np.array_equal(a.y.samples, b.y.samples)
+                        for a, b in zip(frames, again)))
 
-    # Binary PPM for single images, comments and all.
-    cs.write_ppm(tmp / "frame.ppm", rgb)
-    print("ppm round trip exact:", np.array_equal(cs.read_ppm(tmp / "frame.ppm"), rgb))
+# Binary PPM for single images, comments and all.
+ppm = cs.rgb_to_ppm(rgb)
+print("ppm bytes:", len(ppm), "round trip exact:", np.array_equal(cs.ppm_to_rgb(ppm), rgb))
+print("comments skipped:", cs.ppm_to_rgb(b"P6\n# a note\n1 1\n255\n" + bytes(3)).shape)

@@ -33,8 +33,9 @@ print(f"BDPSNR = {metrics.bd_psnr(anchor, proposed):+.3f} dB "
       "(average quality change at equal rate)")
 
 # Curves serialize as CSV, reports as JSON.
-csv_text = metrics.curve_to_csv(anchor)
-print("\ncsv:", csv_text.splitlines()[0], "| rows:", len(csv_text.splitlines()) - 1)
-assert metrics.curve_from_csv(csv_text) == anchor
+csv_bytes = metrics.curve_to_csv(anchor)
+rows = csv_bytes.decode("utf-8").splitlines()
+print("\ncsv:", rows[0], "| rows:", len(rows) - 1)
+assert metrics.curve_from_csv(csv_bytes) == anchor
 report = metrics.comparison_report(anchor, proposed)
 print("report keys:", sorted(report))

@@ -23,7 +23,7 @@ def clip(n=4, size=16):
 with tempfile.TemporaryDirectory() as tmp:
     tmp = Path(tmp)
     source = tmp / "clip.yuv"
-    cs.write_raw(source, clip())
+    source.write_bytes(cs.frames_to_bytes(clip()))
     dims = ["--width", "16", "--height", "16"]
 
     def run(*args):

@@ -62,31 +62,31 @@ def _load_frames(path_str: str, args, mode: str):
         files = sorted(path.glob("*.ppm"))
         if not files:
             raise DataError(f"no .ppm files in directory {path}")
-        return [cs.rgb_to_ycbcr(cs.read_ppm(f)) for f in files]
+        return [cs.rgb_to_ycbcr(cs.ppm_to_rgb(f.read_bytes())) for f in files]
     if not path.is_file():
         raise DataError(f"input not found: {path}")
     if path.suffix.lower() == ".ppm":
-        return [cs.rgb_to_ycbcr(cs.read_ppm(path))]
+        return [cs.rgb_to_ycbcr(cs.ppm_to_rgb(path.read_bytes()))]
     if not args.width or not args.height:
         raise ConfigError("raw input is headerless: pass --width and --height")
-    frames = cs.read_raw(path, args.width, args.height, cs.SubsamplingMode.parse(mode))
+    mode = cs.SubsamplingMode.parse(mode)
+    frames = cs.frames_from_bytes(path.read_bytes(), args.width, args.height, mode)
     return [f if f.mode is cs.SubsamplingMode.S444 else cs.upsample(f) for f in frames]
 
 
 def _write_frames(out_str: str, frames) -> None:
     """PPM directory when the path has no suffix, raw 4:4:4 file otherwise."""
     out = Path(out_str)
-    if out.suffix:
-        if out.suffix.lower() == ".ppm":
-            if len(frames) != 1:
-                raise ConfigError(f"cannot write {len(frames)} frames to a single .ppm")
-            cs.write_ppm(out, cs.ycbcr_to_rgb(frames[0]))
-            return
-        cs.write_raw(out, frames)
-        return
-    out.mkdir(parents=True, exist_ok=True)
-    for i, frame in enumerate(frames):
-        cs.write_ppm(out / f"frame_{i:04d}.ppm", cs.ycbcr_to_rgb(frame))
+    if out.suffix.lower() == ".ppm":
+        if len(frames) != 1:
+            raise ConfigError(f"cannot write {len(frames)} frames to a single .ppm")
+        out.write_bytes(cs.rgb_to_ppm(cs.ycbcr_to_rgb(frames[0])))
+    elif out.suffix:
+        out.write_bytes(cs.frames_to_bytes(frames))
+    else:
+        out.mkdir(parents=True, exist_ok=True)
+        for i, frame in enumerate(frames):
+            (out / f"frame_{i:04d}.ppm").write_bytes(cs.rgb_to_ppm(cs.ycbcr_to_rgb(frame)))
 
 
 def _emit_json(report: dict, out) -> None:
@@ -132,14 +132,14 @@ def cmd_encode(args) -> int:
     gen, net_config = network.deserialize_weights(Path(args.weights).read_bytes())
     gop = pipeline.split_gops(len(frames), args.gop)
     video, kbps = pipeline.encode_sequence(frames, args.qp, gop, gen, net_config, args.fps)
-    pipeline.write_video(args.out, video)
+    Path(args.out).write_bytes(pipeline.serialize_video(video))
     print(f"encoded {len(frames)} frames at {kbps:.3f} kbps")
     print(metrics.report_to_json(pipeline.bitrate_report(video, args.fps)))
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
-    video = pipeline.read_video(args.input)
+    video = pipeline.deserialize_video(Path(args.input).read_bytes())
     frames = pipeline.decode_sequence(video)
     _write_frames(args.out, frames)
     print(f"decoded {len(frames)} frames of {video.width}x{video.height}")
@@ -171,8 +171,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rd_report(args) -> int:
-    anchor = metrics.read_curve(args.anchor)
-    proposed = metrics.read_curve(args.proposed)
+    anchor = metrics.curve_from_csv(Path(args.anchor).read_bytes())
+    proposed = metrics.curve_from_csv(Path(args.proposed).read_bytes())
     _emit_json(metrics.comparison_report(anchor, proposed), args.out)
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Color conversion, chroma subsampling, and raw plane I/O.
+"""Color conversion, chroma subsampling, and the raw video and PPM byte formats.
 
 Frames are YCbCr in one of two sampling layouts: 4:4:4 (full chroma:
 the input, the training target and the decoded output) or 4:2:0 (half
@@ -179,7 +179,7 @@ def mode_volume(width: int, height: int, mode: SubsamplingMode) -> int:
 
 
 # ---------------------------------------------------------------------------
-# raw byte-stream and PPM I/O
+# raw video and PPM bytes
 # ---------------------------------------------------------------------------
 
 def frames_to_bytes(frames) -> bytes:
@@ -210,24 +210,12 @@ def frames_from_bytes(data: bytes, width: int, height: int, mode: SubsamplingMod
     return frames
 
 
-def write_raw(path, frames) -> None:
-    with open(path, "wb") as fh:
-        fh.write(frames_to_bytes(frames))
-
-
-def read_raw(path, width: int, height: int, mode: SubsamplingMode):
-    with open(path, "rb") as fh:
-        return frames_from_bytes(fh.read(), width, height, mode)
-
-
-def write_ppm(path, rgb: np.ndarray) -> None:
-    """Write an H×W×3 8-bit image as binary PPM (P6, maxval 255)."""
+def rgb_to_ppm(rgb: np.ndarray) -> bytes:
+    """Encode an H×W×3 8-bit image as binary PPM (P6, maxval 255)."""
     arr = np.asarray(rgb, dtype=np.uint8)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise DimensionError(f"expected H×W×3 RGB, got shape {arr.shape}")
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
-        fh.write(arr.tobytes())
+    return f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii") + arr.tobytes()
 
 
 # magic, width, height and maxval separated by whitespace or '#' comments to
@@ -237,10 +225,8 @@ _PPM_HEADER = re.compile(
 )
 
 
-def read_ppm(path) -> np.ndarray:
-    """Read a binary PPM (P6) file into an H×W×3 8-bit array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def ppm_to_rgb(data: bytes) -> np.ndarray:
+    """Parse a binary PPM (P6) image into an H×W×3 8-bit array."""
     if not data.startswith(b"P6"):
         raise DataError("not a P6 PPM file")
     header = _PPM_HEADER.match(data)

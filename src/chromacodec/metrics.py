@@ -188,21 +188,26 @@ def bd_rate(anchor: RDCurve, test: RDCurve) -> float:
 
 
 # ---------------------------------------------------------------------------
-# curve files and reports
+# curve CSV and reports
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = "qp,bitrate_kbps,psnr_db"
 
 
-def curve_to_csv(c: RDCurve) -> str:
+def curve_to_csv(c: RDCurve) -> bytes:
     lines = [CSV_HEADER]
     for p in c.points:
         qp = "" if p.qp is None else str(p.qp)
         lines.append(f"{qp},{p.bitrate!r},{p.psnr!r}")
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def curve_from_csv(text: str) -> RDCurve:
+def curve_from_csv(data: bytes) -> RDCurve:
+    """Parse UTF-8 rows of qp (may be empty), kbps and dB; skip '#' lines and the header."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"rd curve is not UTF-8 text: {exc}") from exc
     points = []
     for ln, line in enumerate(text.strip().splitlines(), start=1):
         line = line.strip()
@@ -221,25 +226,18 @@ def curve_from_csv(text: str) -> RDCurve:
     return curve(points)
 
 
-def read_curve(path) -> RDCurve:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"rd curve {path} is not UTF-8 text: {exc}") from exc
-    return curve_from_csv(text)
-
-
-def write_curve(path, c: RDCurve) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(curve_to_csv(c))
-
-
 def comparison_report(anchor: RDCurve, test: RDCurve) -> dict:
-    """Pointwise and integrated comparison, JSON-serializable; every number is finite."""
+    """Pointwise and integrated comparison, JSON-serializable; every number is finite.
+
+    Points pair up in rate order: the curves must have equal point counts,
+    and a pair whose points both carry a QP must share it.
+    """
+    if len(anchor.points) != len(test.points):
+        raise DataError(f"curves pair points by rate: {len(anchor.points)} and {len(test.points)}")
     per_point = []
     for pa, pb in zip(anchor.points, test.points):
+        if None not in (pa.qp, pb.qp) and pa.qp != pb.qp:
+            raise DataError(f"rate order pairs anchor qp {pa.qp} with proposed qp {pb.qp}")
         per_point.append(
             {
                 "qp": pb.qp if pb.qp is not None else pa.qp,

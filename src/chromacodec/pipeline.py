@@ -202,16 +202,6 @@ def deserialize_video(data: bytes) -> CompressedVideo:
     return CompressedVideo(width, height, qp, gop_size, blob, tuple(records))
 
 
-def write_video(path, video: CompressedVideo) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_video(video))
-
-
-def read_video(path) -> CompressedVideo:
-    with open(path, "rb") as fh:
-        return deserialize_video(fh.read())
-
-
 def bitrate_report(video: CompressedVideo, fps: float = 30.0) -> dict:
     """Bits per stream component (overhead: magic, header and plane lengths), plus kbps both ways."""
     anchor_bits = 0

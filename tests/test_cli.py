@@ -35,8 +35,12 @@ def synthetic_frames(n=6, size=16):
 @pytest.fixture
 def raw_input(tmp_path):
     path = tmp_path / "input.yuv"
-    cs.write_raw(path, synthetic_frames())
+    path.write_bytes(cs.frames_to_bytes(synthetic_frames()))
     return path
+
+
+def save_curve(path, points):
+    path.write_bytes(metrics.curve_to_csv(metrics.curve(points)))
 
 
 def run(args):
@@ -85,7 +89,7 @@ class TestErrorPaths:
 
     def test_eval_frame_count_mismatch(self, raw_input, tmp_path):
         short = tmp_path / "short.yuv"
-        cs.write_raw(short, synthetic_frames(n=3))
+        short.write_bytes(cs.frames_to_bytes(synthetic_frames(n=3)))
         rc = run(
             ["eval", "--ref", raw_input, "--test", short, "--width", 16, "--height", 16]
         )
@@ -351,7 +355,7 @@ class TestPipelineCommands:
         # --mode applies to --ref only
         frames = synthetic_frames()
         raw = tmp_path / "input420.yuv"
-        cs.write_raw(raw, [cs.subsample(f) for f in frames])
+        raw.write_bytes(cs.frames_to_bytes([cs.subsample(f) for f in frames]))
         flags = ["--width", 16, "--height", 16, "--mode", "4:2:0"]
         weights, stream, decoded = tmp_path / "w.cgwt", tmp_path / "s.cgv", tmp_path / "d.yuv"
         assert run(["train", "--input", raw, *flags, "--steps", 1, "--out", weights]) == 0
@@ -373,7 +377,7 @@ class TestPipelineCommands:
                     "--weights", weights, "--qp", 32, "--gop", 3, "--out", stream]) == 0
         assert run(["decode", "--input", stream, "--out", decoded]) == 0
         source = synthetic_frames()
-        out = cs.read_raw(decoded, 16, 16, cs.SubsamplingMode.S444)
+        out = cs.frames_from_bytes(decoded.read_bytes(), 16, 16, cs.SubsamplingMode.S444)
         quality = [metrics.psnr_frame(a, b) for a, b in zip(source, out)]
         anchors = {0, 3}
         combined = [q["combined"] for q in quality]
@@ -411,8 +415,8 @@ class TestRdReport:
     def test_reproduces_published_silent_summary(self, tmp_path):
         anchor_csv = tmp_path / "anchor.csv"
         proposed_csv = tmp_path / "proposed.csv"
-        metrics.write_curve(anchor_csv, metrics.curve(ref.anchor_points("Silent")))
-        metrics.write_curve(proposed_csv, metrics.curve(ref.proposed_points("Silent")))
+        save_curve(anchor_csv, ref.anchor_points("Silent"))
+        save_curve(proposed_csv, ref.proposed_points("Silent"))
         out = tmp_path / "bd.json"
         rc = run(["rd-report", "--anchor", anchor_csv, "--proposed", proposed_csv, "--out", out])
         assert rc == 0
@@ -422,6 +426,22 @@ class TestRdReport:
         assert len(report["points"]) == 4
         assert abs(report["points"][0]["delta_br_percent"] - (-15.70)) < 0.01
 
+    def test_pairs_of_different_qp_are_data_error(self, tmp_path, capsys):
+        anchor, proposed = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_curve(anchor, [(r, q, qp - 5) for r, q, qp in ref.anchor_points("Silent")])
+        save_curve(proposed, ref.proposed_points("Silent"))
+        assert run(["rd-report", "--anchor", anchor, "--proposed", proposed]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "anchor qp 37 with proposed qp 42" in captured.err
+
+    def test_unequal_point_counts_are_data_error(self, tmp_path, capsys):
+        anchor, proposed = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_curve(anchor, [*ref.anchor_points("Silent"), (9800.0, 38.1, 22)])
+        save_curve(proposed, ref.proposed_points("Silent"))
+        assert run(["rd-report", "--anchor", anchor, "--proposed", proposed]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "by rate: 5 and 4" in captured.err
+
     def test_missing_curve_file(self, tmp_path, capsys):
         rc = run(["rd-report", "--anchor", tmp_path / "a.csv", "--proposed", tmp_path / "b.csv"])
         assert rc == 3
@@ -429,7 +449,7 @@ class TestRdReport:
 
     def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):
         good = tmp_path / "a.csv"
-        metrics.write_curve(good, metrics.curve(ref.anchor_points("Silent")))
+        save_curve(good, ref.anchor_points("Silent"))
         bad = tmp_path / "b.csv"
         bad.write_bytes(b"qp,bitrate_kbps,psnr_db\n\xff\xfe,1,2\n")
         assert run(["rd-report", "--anchor", good, "--proposed", bad]) == 3
@@ -441,10 +461,10 @@ class TestRdReport:
         # stdout until exit, would show
         anchor = metrics.curve(ref.anchor_points("Silent"))
         good = tmp_path / "a.csv"
-        metrics.write_curve(good, anchor)
+        save_curve(good, anchor.points)
         bad = tmp_path / "b.csv"
         points = [(p.bitrate, psnr if i == 0 else p.psnr) for i, p in enumerate(anchor.points)]
-        metrics.write_curve(bad, metrics.curve(points))
+        save_curve(bad, points)
         code = "import sys; from chromacodec import cli; sys.exit(cli.main(sys.argv[1:]))"
         proc = subprocess.run(
             [sys.executable, "-c", code, "rd-report", "--anchor", str(good), "--proposed", str(bad)],
@@ -457,7 +477,7 @@ class TestRdReport:
     def test_rank_deficient_bd_fit_is_data_error(self, tmp_path, capsys):
         # three equal PSNRs leave two distinct x for the cubic rate fit
         good = tmp_path / "a.csv"
-        metrics.write_curve(good, metrics.curve(ref.anchor_points("Silent")))
+        save_curve(good, ref.anchor_points("Silent"))
         bad = tmp_path / "b.csv"
         bad.write_text(",100,30.0\n,200,30.0\n,400,30.0\n,800,31.0\n", encoding="utf-8")
         with warnings.catch_warnings():
@@ -469,9 +489,9 @@ class TestRdReport:
 
     def test_non_finite_report_is_data_error(self, tmp_path, capsys):
         good = tmp_path / "a.csv"
-        metrics.write_curve(good, metrics.curve(ref.anchor_points("Silent")))
+        save_curve(good, ref.anchor_points("Silent"))
         bad = tmp_path / "b.csv"
-        metrics.write_curve(bad, metrics.curve(ref.OVERFLOWING_PROPOSED))
+        save_curve(bad, ref.OVERFLOWING_PROPOSED)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["rd-report", "--anchor", good, "--proposed", bad]) == 3
@@ -482,7 +502,7 @@ class TestRdReport:
     def test_three_point_curves_are_data_error(self, tmp_path, capsys):
         csvs = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in csvs:
-            metrics.write_curve(path, metrics.curve([(100, 30), (200, 32), (400, 34)]))
+            save_curve(path, [(100, 30), (200, 32), (400, 34)])
         assert run(["rd-report", "--anchor", csvs[0], "--proposed", csvs[1]]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -490,7 +510,7 @@ class TestRdReport:
 
     def test_report_to_stdout(self, tmp_path, capsys):
         curve_csv = tmp_path / "c.csv"
-        metrics.write_curve(curve_csv, metrics.curve(ref.anchor_points("Johnny")))
+        save_curve(curve_csv, ref.anchor_points("Johnny"))
         rc = run(["rd-report", "--anchor", curve_csv, "--proposed", curve_csv])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)

@@ -276,6 +276,37 @@ class TestBdMetrics:
             with pytest.raises(DataError, match="not finite: bd_rate_percent"):
                 metrics.comparison_report(a, extreme)
 
+    def test_report_rejects_pairs_of_different_qp(self):
+        # an anchor run at QP 37-22 against a proposal at QP 42-27: rate
+        # order pairs anchor QP 37 with proposed QP 42
+        anchor, proposed = self.silent_curves()
+        shifted = metrics.curve([(p.bitrate, p.psnr, p.qp - 5) for p in anchor.points])
+        with pytest.raises(DataError, match="anchor qp 37 with proposed qp 42"):
+            metrics.comparison_report(shifted, proposed)
+
+    def test_report_rejects_unequal_point_counts(self):
+        anchor, proposed = self.silent_curves()
+        five = metrics.curve([*anchor.points, (9800.0, 38.1, 22)])
+        with pytest.raises(DataError, match="5 and 4"):
+            metrics.comparison_report(five, proposed)
+
+    def test_benchmark_payload_curves_keep_their_bd_figures(self):
+        # the qcif176 seed-0 payload curves (kbps, combined dB) of the
+        # benchmark: a check that rejects a fit whose rate falls anywhere in
+        # the integration interval would reject both of these
+        all_anchor = metrics.curve(
+            [(363.32, 35.104), (414.2, 37.5584), (497.78, 39.3883), (590.3, 43.3092)]
+        )
+        stream = metrics.curve(
+            [(255.06, 31.3985), (283.5, 33.3444), (338.3, 34.8166), (394.28, 38.5542)]
+        )
+        interval = np.linspace(35.104, 38.5542, 1001)
+        for c in (all_anchor, stream):
+            slope = np.polyder(np.polyfit(c.psnrs, np.log10(c.bitrates), 3))
+            assert np.polyval(slope, interval).min() < 0.0
+        assert 1.0 + metrics.bd_rate(all_anchor, stream) / 100.0 == pytest.approx(1.003968, abs=1e-6)
+        assert metrics.bd_psnr(all_anchor, stream) == pytest.approx(1.0740, abs=1e-4)
+
     def test_curve_requires_increasing_rates(self):
         with pytest.raises(DataError):
             metrics.RDCurve(
@@ -296,40 +327,30 @@ class TestCurveIO:
         assert back == c
 
     def test_csv_header_and_comments_skipped(self):
-        text = "qp,bitrate_kbps,psnr_db\n# comment\n27,100.0,30.0\n,200.0,31.0\n"
-        c = metrics.curve_from_csv(text)
+        data = b"qp,bitrate_kbps,psnr_db\n# comment\n27,100.0,30.0\n,200.0,31.0\n"
+        c = metrics.curve_from_csv(data)
         assert len(c.points) == 2
         assert c.points[0].qp == 27
         assert c.points[1].qp is None
 
     def test_csv_bad_field_count(self):
         with pytest.raises(DataError):
-            metrics.curve_from_csv("27,100.0\n")
+            metrics.curve_from_csv(b"27,100.0\n")
 
     def test_csv_bad_number(self):
         with pytest.raises(DataError):
-            metrics.curve_from_csv("27,abc,30.0\n")
+            metrics.curve_from_csv(b"27,abc,30.0\n")
 
-    def test_file_round_trip(self, tmp_path):
-        c = metrics.curve([(100.0, 30.0, 42), (200.0, 32.0, 37), (400.0, 34.0, 32)])
-        path = tmp_path / "curve.csv"
-        metrics.write_curve(path, c)
-        assert metrics.read_curve(path) == c
-
-    def test_non_utf8_file_is_data_error(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        path.write_bytes(b"qp,bitrate_kbps,psnr_db\n27,100.0,30.0\xff\n")
+    def test_non_utf8_file_is_data_error(self):
         with pytest.raises(DataError, match="not UTF-8"):
-            metrics.read_curve(path)
+            metrics.curve_from_csv(b"qp,bitrate_kbps,psnr_db\n27,100.0,30.0\xff\n")
 
     @settings(deadline=None, max_examples=200)
     @given(st.binary(max_size=200))
-    def test_any_csv_bytes_give_report_or_error(self, tmp_path_factory, data):
-        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
-        path.write_bytes(data)
+    def test_any_csv_bytes_give_report_or_error(self, data):
         anchor = metrics.curve(ref.anchor_points("Silent"))
         try:
-            report = metrics.comparison_report(anchor, metrics.read_curve(path))
+            report = metrics.comparison_report(anchor, metrics.curve_from_csv(data))
         except ChromaCodecError:
             return
         assert set(report) == {"points", "bd_rate_percent", "bd_psnr_db"}
@@ -339,12 +360,11 @@ class TestCurveIO:
     @given(st.lists(st.tuples(st.floats(allow_nan=True, allow_infinity=True),
                               st.floats(allow_nan=True, allow_infinity=True)),
                     min_size=1, max_size=6))
-    def test_any_csv_numbers_give_report_or_error(self, tmp_path_factory, rows):
-        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
-        path.write_text("".join(f",{r!r},{q!r}\n" for r, q in rows), encoding="utf-8")
+    def test_any_csv_numbers_give_report_or_error(self, rows):
+        data = "".join(f",{r!r},{q!r}\n" for r, q in rows).encode()
         anchor = metrics.curve(ref.anchor_points("Silent"))
         try:
-            report = metrics.comparison_report(anchor, metrics.read_curve(path))
+            report = metrics.comparison_report(anchor, metrics.curve_from_csv(data))
         except ChromaCodecError:
             return
         assert set(report) == {"points", "bd_rate_percent", "bd_psnr_db"}

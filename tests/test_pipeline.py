@@ -129,14 +129,6 @@ class TestContainer:
             assert a.kind == b.kind
             assert tuple(p.data for p in a.payloads) == tuple(p.data for p in b.payloads)
 
-    def test_file_round_trip(self, tmp_path):
-        frames = make_sequence(3, seed=6)
-        store, cfg = tiny_net(seed=6)
-        video, _ = pipeline.encode_sequence(frames, 42, pipeline.split_gops(3, 6), store, cfg)
-        path = tmp_path / "clip.cgv"
-        pipeline.write_video(path, video)
-        assert pipeline.serialize_video(pipeline.read_video(path)) == pipeline.serialize_video(video)
-
     def test_bad_magic(self):
         with pytest.raises(DataError):
             pipeline.deserialize_video(b"NOPE" + b"\x00" * 40)
