@@ -75,11 +75,10 @@ def _load_frames(path_str: str, args, mode: str):
 
 
 def _write_frames(out_str: str, frames) -> None:
-    """PPM directory when the path has no suffix, raw 4:4:4 file otherwise."""
+    """The one frame to a .ppm path, a PPM directory when the path has no
+    suffix, raw 4:4:4 file otherwise."""
     out = Path(out_str)
     if out.suffix.lower() == ".ppm":
-        if len(frames) != 1:
-            raise ConfigError(f"cannot write {len(frames)} frames to a single .ppm")
         out.write_bytes(cs.rgb_to_ppm(cs.ycbcr_to_rgb(frames[0])))
     elif out.suffix:
         out.write_bytes(cs.frames_to_bytes(frames))
@@ -140,6 +139,8 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     video = pipeline.deserialize_video(Path(args.input).read_bytes())
+    if Path(args.out).suffix.lower() == ".ppm" and video.frame_count != 1:
+        raise ConfigError(f"cannot write {video.frame_count} frames to a single .ppm")
     frames = pipeline.decode_sequence(video)
     _write_frames(args.out, frames)
     print(f"decoded {len(frames)} frames of {video.width}x{video.height}")

@@ -209,7 +209,7 @@ def curve_from_csv(data: bytes) -> RDCurve:
     except UnicodeDecodeError as exc:
         raise DataError(f"rd curve is not UTF-8 text: {exc}") from exc
     points = []
-    for ln, line in enumerate(text.strip().splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#") or line == CSV_HEADER:
             continue

@@ -6,6 +6,9 @@ nodes of the operation's inputs together with a gradient rule. A node
 holds a gradient, never a value: each rule keeps only the arrays its
 gradient reads (the save-for-backward pattern of PyTorch's autograd), so
 an op output that no rule reads is freed as soon as forward drops it.
+One helper, :func:`_op`, wires every op's rule except `attention`'s: an
+op gives it one gradient function per input, and the helper calls only
+those of inputs that need a gradient.
 :func:`backward` walks the recorded graph once in reverse topological
 order, accumulates d(loss)/d(leaf) into every leaf that was created with
 ``requires_grad=True``, and frees each node as it goes.
@@ -130,6 +133,30 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _op(data, inputs, *grads) -> Tensor:
+    """The output of an op on `inputs` whose rule hands input i grads[i](g).
+
+    A grad runs only for an input whose node needs a gradient. It returns
+    a new array, g itself, or a view of g that no other grad's view
+    overlaps (concat's slices). `_accum` keeps the first array a node is
+    handed, so g itself goes to one input only and any later input gets a
+    copy. Grads close over shapes and the arrays they read, never over a
+    Tensor, as `_result` asks of a rule.
+    """
+    nodes = tuple(t.node for t in inputs)
+
+    def backprop(g):
+        handed = False
+        for node, grad in zip(nodes, grads):
+            if node.requires_grad:
+                gi = grad(g)
+                if gi is g:
+                    gi, handed = (g.copy() if handed else g), True
+                _accum(node, gi)
+
+    return _result(data, nodes, backprop)
+
+
 def _accum(node: Node, g):
     """Add g into node.grad. The first g is kept as it is, not copied, so a
     gradient rule hands each region of a buffer to one parent only, and
@@ -204,57 +231,36 @@ def backward(loss: Tensor) -> None:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
-
-    def backprop(g):
-        ga, gb = _unbroadcast(g, sa), _unbroadcast(g, sb)
-        _accum(na, ga)
-        # both may be g itself, and `_accum` keeps what it is handed
-        _accum(nb, gb.copy() if gb is ga and na.requires_grad else gb)
-
-    return _result(a.data + b.data, (na, nb), backprop)
+    sa, sb = a.shape, b.shape
+    return _op(a.data + b.data, (a, b), lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
-
-    def backprop(g):
-        _accum(na, _unbroadcast(g, sa))
-        _accum(nb, -_unbroadcast(g, sb))
-
-    return _result(a.data - b.data, (na, nb), backprop)
+    sa, sb = a.shape, b.shape
+    return _op(a.data - b.data, (a, b), lambda g: _unbroadcast(g, sa), lambda g: -_unbroadcast(g, sb))
 
 
 def mul(a, b) -> Tensor:
     """Elementwise (broadcasting) product; covers scaling by a learnable scalar."""
     a, b = _as_tensor(a), _as_tensor(b)
-    na, nb, ad, bd = a.node, b.node, a.data, b.data
-
-    def backprop(g):
-        _accum(na, _unbroadcast(g * bd, ad.shape))
-        _accum(nb, _unbroadcast(g * ad, bd.shape))
-
-    return _result(ad * bd, (na, nb), backprop)
+    ad, bd = a.data, b.data
+    return _op(
+        ad * bd,
+        (a, b),
+        lambda g: _unbroadcast(g * bd, ad.shape),
+        lambda g: _unbroadcast(g * ad, bd.shape),
+    )
 
 
 def scale(t: Tensor, k: float) -> Tensor:
     k = float(k)
-    n = t.node
-
-    def backprop(g):
-        _accum(n, g * k)
-
-    return _result(t.data * k, (n,), backprop)
+    return _op(t.data * k, (t,), lambda g: g * k)
 
 
 def square(t: Tensor) -> Tensor:
-    n, x = t.node, t.data
-
-    def backprop(g):
-        _accum(n, 2.0 * x * g)
-
-    return _result(x * x, (n,), backprop)
+    x = t.data
+    return _op(x * x, (t,), lambda g: 2.0 * x * g)
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -271,55 +277,38 @@ def concat(tensors, axis: int) -> Tensor:
             if i != axis and s[i] != base[i]:
                 raise DimensionError(f"concat: operand shape {s} differs from {base} on axis {i}")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    nodes = tuple(t.node for t in tensors)
     offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
-    def backprop(g):
-        for n, s0, s1 in zip(nodes, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(int(s0), int(s1))
-            _accum(n, g[tuple(sl)])
+    def part(s0, s1):
+        sl = [slice(None)] * len(base)
+        sl[axis] = slice(int(s0), int(s1))
+        sl = tuple(sl)
+        return lambda g: g[sl]
 
-    return _result(data, nodes, backprop)
+    return _op(data, tensors, *map(part, offsets[:-1], offsets[1:]))
 
 
 def mean(t: Tensor) -> Tensor:
-    n, shape, size = t.node, t.shape, t.size
-
-    def backprop(g):
-        _accum(n, np.full(shape, float(g) / size))
-
-    return _result(np.asarray(t.data.mean()), (n,), backprop)
+    shape, size = t.shape, t.size
+    return _op(np.asarray(t.data.mean()), (t,), lambda g: np.full(shape, float(g) / size))
 
 
 def tsum(t: Tensor) -> Tensor:
-    n, shape = t.node, t.shape
-
-    def backprop(g):
-        _accum(n, np.full(shape, float(g)))
-
-    return _result(np.asarray(t.data.sum()), (n,), backprop)
+    shape = t.shape
+    return _op(np.asarray(t.data.sum()), (t,), lambda g: np.full(shape, float(g)))
 
 
 def l1_norm(t: Tensor) -> Tensor:
     """Sum of absolute values. Subgradient 0 at exact zeros."""
-    n, x = t.node, t.data
-
-    def backprop(g):
-        _accum(n, np.sign(x) * float(g))
-
-    return _result(np.asarray(np.abs(x).sum()), (n,), backprop)
+    x = t.data
+    return _op(np.asarray(np.abs(x).sum()), (t,), lambda g: np.sign(x) * float(g))
 
 
 def l2_norm(t: Tensor) -> Tensor:
     """Euclidean norm sqrt(sum x^2)."""
-    n, x = t.node, t.data
+    x = t.data
     v = float(np.sqrt((x * x).sum()))
-
-    def backprop(g):
-        _accum(n, x / max(v, 1e-12) * float(g))
-
-    return _result(np.asarray(v), (n,), backprop)
+    return _op(np.asarray(v), (t,), lambda g: x / max(v, 1e-12) * float(g))
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +320,8 @@ def l2_norm(t: Tensor) -> Tensor:
 # hold exactly when x > 0, so the input need not be kept.
 
 def relu(t: Tensor) -> Tensor:
-    n = t.node
     data = np.maximum(t.data, 0.0)
-
-    def backprop(g):
-        _accum(n, g * (data > 0.0))
-
-    return _result(data, (n,), backprop)
+    return _op(data, (t,), lambda g: g * (data > 0.0))
 
 
 LEAK = 0.2  # leaky_relu's negative-side gain, as in DCGAN's discriminator
@@ -345,58 +329,34 @@ LOG_FLOOR = 1e-12  # log_floor's input floor
 
 
 def leaky_relu(t: Tensor) -> Tensor:
-    n = t.node
     data = np.where(t.data > 0.0, t.data, LEAK * t.data)
-
-    def backprop(g):
-        _accum(n, g * np.where(data > 0.0, 1.0, LEAK))
-
-    return _result(data, (n,), backprop)
+    return _op(data, (t,), lambda g: g * np.where(data > 0.0, 1.0, LEAK))
 
 
 def sigmoid(t: Tensor) -> Tensor:
-    n = t.node
     e = np.exp(-np.abs(t.data))
     data = np.where(t.data >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    def backprop(g):
-        _accum(n, g * data * (1.0 - data))
-
-    return _result(data, (n,), backprop)
+    return _op(data, (t,), lambda g: g * data * (1.0 - data))
 
 
 def tanh(t: Tensor) -> Tensor:
-    n = t.node
     data = np.tanh(t.data)
-
-    def backprop(g):
-        _accum(n, g * (1.0 - data * data))
-
-    return _result(data, (n,), backprop)
+    return _op(data, (t,), lambda g: g * (1.0 - data * data))
 
 
 def log_floor(t: Tensor) -> Tensor:
     """log(max(x, LOG_FLOOR)); the floor keeps early-training losses finite."""
-    n, x = t.node, t.data
+    x = t.data
     m = np.maximum(x, LOG_FLOOR)
-
-    def backprop(g):
-        _accum(n, g * (x >= LOG_FLOOR) / m)
-
-    return _result(np.log(m), (n,), backprop)
+    return _op(np.log(m), (t,), lambda g: g * (x >= LOG_FLOOR) / m)
 
 
 def softmax(t: Tensor) -> Tensor:
     """Max-subtracted softmax; slices along the last axis sum to 1."""
-    n, x = t.node, t.data
+    x = t.data
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     s = e / e.sum(axis=-1, keepdims=True)
-
-    def backprop(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        _accum(n, s * (g - dot))
-
-    return _result(s, (n,), backprop)
+    return _op(s, (t,), lambda g: s * (g - (g * s).sum(axis=-1, keepdims=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +364,12 @@ def softmax(t: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def reshape(t: Tensor, shape) -> Tensor:
-    n, old = t.node, t.shape
-
-    def backprop(g):
-        _accum(n, g.reshape(old))
-
-    return _result(t.data.reshape(shape), (n,), backprop)
+    old = t.shape
+    return _op(t.data.reshape(shape), (t,), lambda g: g.reshape(old))
 
 
 def transpose_last2(t: Tensor) -> Tensor:
-    n = t.node
-
-    def backprop(g):
-        _accum(n, g.swapaxes(-1, -2))
-
-    return _result(t.data.swapaxes(-1, -2), (n,), backprop)
+    return _op(t.data.swapaxes(-1, -2), (t,), lambda g: g.swapaxes(-1, -2))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -435,13 +386,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul: batch dims {ad.shape[:-2]} vs {bd.shape[:-2]}"
         )
-    na, nb = a.node, b.node
-
-    def backprop(g):
-        _accum(na, g @ bd.swapaxes(-1, -2))
-        _accum(nb, ad.swapaxes(-1, -2) @ g)
-
-    return _result(ad @ bd, (na, nb), backprop)
+    return _op(ad @ bd, (a, b), lambda g: g @ bd.swapaxes(-1, -2), lambda g: ad.swapaxes(-1, -2) @ g)
 
 
 def _mm(a, b, out=None):
@@ -704,16 +649,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     k = wd.shape[2]
     out = _conv_fwd(xd, wd, stride, padding)
     out += b.data.reshape(1, -1, 1, 1)
-    nx, nw, nb = x.node, w.node, b.node
-
-    def backprop(g):
-        _accum(nb, g.sum(axis=(0, 2, 3)))
-        if nw.requires_grad:
-            _accum(nw, _conv_dw(xd, g, k, stride, padding))
-        if nx.requires_grad:
-            _accum(nx, _conv_dx(g, wd, xd.shape, stride, padding))
-
-    return _result(out, (nx, nw, nb), backprop)
+    return _op(
+        out,
+        (x, w, b),
+        lambda g: _conv_dx(g, wd, xd.shape, stride, padding),
+        lambda g: _conv_dw(xd, g, k, stride, padding),
+        lambda g: g.sum(axis=(0, 2, 3)),
+    )
 
 
 def separable_filter(x: Tensor, taps) -> Tensor:
@@ -730,12 +672,11 @@ def separable_filter(x: Tensor, taps) -> Tensor:
     if taps.ndim != 1 or len(taps) % 2 == 0:
         raise DimensionError(f"separable_filter: taps must be 1-D of odd length, got {taps.shape}")
     r = len(taps) // 2
-    n = x.node
-
-    def backprop(g):
-        _accum(n, _correlate_valid(_zero_pad(g, r), taps[::-1]))
-
-    return _result(_correlate_valid(_zero_pad(xd, r), taps), (n,), backprop)
+    return _op(
+        _correlate_valid(_zero_pad(xd, r), taps),
+        (x,),
+        lambda g: _correlate_valid(_zero_pad(g, r), taps[::-1]),
+    )
 
 
 def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
@@ -754,16 +695,13 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor
     out_shape = (n, wd.shape[1], (h - 1) * stride + k, (wdt - 1) * stride + k)
     out = _conv_dx(xd, wd, out_shape, stride, 0)
     out += b.data.reshape(1, -1, 1, 1)
-    nx, nw, nb = x.node, w.node, b.node
-
-    def backprop(g):
-        _accum(nb, g.sum(axis=(0, 2, 3)))
-        if nw.requires_grad:
-            _accum(nw, _conv_dw(g, xd, k, stride, 0))
-        if nx.requires_grad:
-            _accum(nx, _conv_fwd(g, wd, stride, 0))
-
-    return _result(out, (nx, nw, nb), backprop)
+    return _op(
+        out,
+        (x, w, b),
+        lambda g: _conv_fwd(g, wd, stride, 0),
+        lambda g: _conv_dw(g, xd, k, stride, 0),
+        lambda g: g.sum(axis=(0, 2, 3)),
+    )
 
 
 def maxpool2(x: Tensor) -> Tensor:
@@ -783,18 +721,17 @@ def maxpool2(x: Tensor) -> Tensor:
         raise DimensionError(f"maxpool2: spatial dims must be even, got {h}×{w}")
     q = {(i, j): xd[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)}  # scan order
     out = np.maximum(np.maximum(q[1, 1], q[1, 0]), np.maximum(q[0, 1], q[0, 0]))
-    n = x.node
 
-    def backprop(g):
+    def grad(g):
         dx = np.zeros(xd.shape)
         free = np.ones(out.shape, dtype=bool)  # windows whose max is not found yet
         for (i, j), v in q.items():
             hit = free & (v == out)
             np.copyto(dx[:, :, i::2, j::2], g, where=hit)
             free ^= hit
-        _accum(n, dx)
+        return dx
 
-    return _result(out, (n,), backprop)
+    return _op(out, (x,), grad)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chromacodec import cli, metrics, network
+from chromacodec import cli, metrics, network, pipeline
 from chromacodec import colorspace as cs
 
 import rd_reference as ref
@@ -285,15 +285,21 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "frame 0 plane 0 payload" in err and "Traceback" not in err
 
-    def test_multi_frame_to_single_ppm(self, raw_input, tmp_path):
-        weights = tmp_path / "w.cgwt"
-        stream = tmp_path / "s.cgv"
-        assert run(["train", "--input", raw_input, "--width", 16, "--height", 16,
-                    "--steps", 0, "--out", weights]) == 0
-        assert run(["encode", "--input", raw_input, "--width", 16, "--height", 16,
-                    "--weights", weights, "--gop", 3, "--out", stream]) == 0
-        rc = run(["decode", "--input", stream, "--out", tmp_path / "only.ppm"])
-        assert rc == 2
+    def test_multi_frame_to_single_ppm(self, tmp_path, capsys, monkeypatch):
+        # a usage error, found from the stream header before any frame is decoded
+        raw, weights, stream = tmp_path / "in.yuv", tmp_path / "w.cgwt", tmp_path / "s.cgv"
+        raw.write_bytes(cs.frames_to_bytes(synthetic_frames(n=2)))
+        dims = ["--input", raw, "--width", 16, "--height", 16]
+        assert run(["train", *dims, "--steps", 0, "--out", weights]) == 0
+        assert run(["encode", *dims, "--weights", weights, "--out", stream]) == 0
+
+        def refuse(video):
+            raise AssertionError("decode_sequence ran before the .ppm check")
+
+        monkeypatch.setattr(pipeline, "decode_sequence", refuse)
+        assert run(["decode", "--input", stream, "--out", tmp_path / "only.ppm"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write 2 frames to a single .ppm" in err and "Traceback" not in err
 
 
 class TestPipelineCommands:

@@ -341,6 +341,11 @@ class TestCurveIO:
         with pytest.raises(DataError):
             metrics.curve_from_csv(b"27,abc,30.0\n")
 
+    def test_error_line_counts_leading_blank_lines(self):
+        data = b"\n\nqp,bitrate_kbps,psnr_db\n27,100.0,30.0\n32,abc,28.0\n"
+        with pytest.raises(DataError, match="^line 5: "):
+            metrics.curve_from_csv(data)
+
     def test_non_utf8_file_is_data_error(self):
         with pytest.raises(DataError, match="not UTF-8"):
             metrics.curve_from_csv(b"qp,bitrate_kbps,psnr_db\n27,100.0,30.0\xff\n")

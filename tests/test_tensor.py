@@ -188,6 +188,19 @@ class TestBasics:
         x = T.Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
         T.backward(T.tsum(T.square(x + x)))
         assert np.array_equal(x.grad, 8.0 * x.data)
+        # sub of equal shapes hands g itself to a and a new -g to b
+        a.zero_grad()
+        b.zero_grad()
+        T.backward(T.tsum(T.square(a - b)))
+        assert np.array_equal(a.grad, 2.0 * (a.data - b.data))
+        assert np.array_equal(b.grad, -2.0 * (a.data - b.data))
+        assert not np.shares_memory(a.grad, b.grad)
+        # with a frozen first input, g itself goes to the second one
+        c = T.Tensor(a.data)
+        b.zero_grad()
+        T.backward(T.tsum(T.square(c + b)))
+        assert c.grad is None
+        assert np.array_equal(b.grad, 2.0 * (a.data + b.data))
 
     def test_backward_releases_spent_nodes(self):
         x = T.Tensor(np.ones(3), requires_grad=True)
@@ -410,6 +423,19 @@ class TestConv:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * x.data.nbytes
+
+    def test_frozen_weight_and_bias_get_no_gradient(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("weight gradient computed for a frozen weight")
+
+        monkeypatch.setattr(T, "_conv_dw", refuse)
+        rng = np.random.default_rng(14)
+        for op, w_shape in ((T.conv2d, (4, 3, 3, 3)), (T.conv_transpose2d, (3, 4, 3, 3))):
+            x = T.Tensor(rng.standard_normal((1, 3, 6, 6)), requires_grad=True)
+            w, b = T.Tensor(rng.standard_normal(w_shape)), T.Tensor(np.zeros(4))
+            T.backward(T.tsum(op(x, w, b, 1)))
+            assert x.grad.shape == x.shape
+            assert w.grad is None and b.grad is None
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(11)
