@@ -203,9 +203,11 @@ def curve_to_csv(c: RDCurve) -> bytes:
 
 
 def curve_from_csv(data: bytes) -> RDCurve:
-    """Parse UTF-8 rows of qp (may be empty), kbps and dB; skip '#' lines and the header."""
+    """Parse UTF-8 rows of qp (may be empty), kbps and dB; skip '#' lines and the header.
+
+    A leading byte-order mark, as spreadsheet programs write, is dropped."""
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"rd curve is not UTF-8 text: {exc}") from exc
     points = []

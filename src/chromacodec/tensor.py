@@ -20,6 +20,9 @@ that finite-difference checks (:func:`grad_check`) are meaningful.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from .errors import DimensionError, NumericError
@@ -408,6 +411,44 @@ BLOCK_ENTRIES = 1 << 16
 ATTN_MIN_ROWS = 16
 
 
+def _blas_pinned():
+    """Whether OpenBLAS runs one thread. It reads these variables when it
+    loads, in this order, and takes the first positive one."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1
+    return False
+
+
+def _cores():
+    """Cores this process may run on; all of the machine's where the OS cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# At most this many threads share `attention`'s query blocks. Each holds its
+# own e buffer and, in backward, its own share of the sums: step + (k + 1)c + k
+# rows of HW floats, 1.07 MB at HW 4096 with c = 8 and k = 1. Memory grows
+# with the count, and two is the count measured.
+ATTN_MAX_WORKERS = 2
+
+
+def _worker_count():
+    """Threads that share `attention`'s query blocks: the cores this process
+    may use up to ATTN_MAX_WORKERS, but only when BLAS runs one thread. An
+    unpinned OpenBLAS's own threads compete for the same cores, and the
+    split then runs slower than one thread."""
+    return min(ATTN_MAX_WORKERS, _cores()) if _blas_pinned() else 1
+
+
+_WORKERS = _worker_count()
+
+
 def _attn_rows(hw):
     """Query rows per block of `attention` at HW keys."""
     return min(hw, max(ATTN_MIN_ROWS, BLOCK_ENTRIES // hw))
@@ -444,18 +485,127 @@ def _attn_weights(fq, g, keys, buf):
     return np.exp(e, out=e)
 
 
+class _Turns:
+    """The order in which the workers of one `attention` call add their
+    blocks' parts: block i adds after block i − 1. Once a worker fails,
+    every wait returns False at once."""
+
+    def __init__(self):
+        self.cond = threading.Condition()
+        self.next = 0
+        self.failed = False
+
+    def wait(self, i):
+        with self.cond:
+            self.cond.wait_for(lambda: self.failed or self.next == i)
+            return not self.failed
+
+    def done(self, i):
+        with self.cond:
+            self.next = i + 1
+            self.cond.notify_all()
+
+    def fail(self):
+        with self.cond:
+            self.failed = True
+            self.cond.notify_all()
+
+
+def _run_blocks(kernel, blocks, workers, *args):
+    """kernel(share, w, turns, *args) over block indices 0..blocks − 1.
+
+    One worker runs them all inline, with `turns` None. Otherwise worker w
+    of W takes blocks w, w + W, w + 2W, …; worker 0 runs on the calling
+    thread and each other on a thread of its own that ends before this
+    returns. The first exception any worker raises reaches the caller, and
+    the others stop at their next block or turn.
+    """
+    if workers == 1:
+        return kernel(range(blocks), 0, None, *args)
+    shares = [range(w, blocks, workers) for w in range(workers)]
+    turns = _Turns()
+    errors = []
+
+    def run(w):
+        try:
+            kernel(shares[w], w, turns, *args)
+        except BaseException as exc:
+            errors.append(exc)
+            turns.fail()
+
+    started = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=run, args=(w,))
+            thread.start()
+            started.append(thread)
+        run(0)
+    except BaseException:  # a thread could not start: stop those that did
+        turns.fail()
+        raise
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+# np.matmul and np.dot give the same bits in the block kernels, but not the
+# same speed (NumPy 2.4.6, OpenBLAS 0.3.31, 2 cores). The two products that
+# sum over all HW keys, [h; 1] @ eᵀ and e @ [g∘h; g]ᵀ, use np.dot: np.matmul
+# ran them no faster on two threads than on one, np.dot 1.7x faster. The
+# others sum over k or a block's rows, and there np.matmul ran 10-40% faster
+# than np.dot, on one thread and on two.
+def _attn_fwd(share, w, turns, blocks, fq, g, hx, r, bufs):
+    """r[:, rows] = [h; 1] @ eᵀ for each block of `share`, e in bufs[w]."""
+    for i in share:
+        if turns is not None and turns.failed:
+            return
+        rows, keys = blocks[i]
+        r[:, rows] = np.dot(hx, _attn_weights(fq[:, rows], g, keys, bufs[w]).T)
+
+
+def _attn_bwd(share, w, turns, blocks, fq, g, go, rz, rhs, acc, dfq, bufs, parts):
+    """dfq's columns and acc += [go; f∘go; f∘rz] @ e for each block of
+    `share`, each block building its own columns of the left factor. The sums
+    into acc run in block order, so they round as on one thread."""
+    k, c = len(fq), len(go)
+    for i in share:
+        rows, keys = blocks[i]
+        e = _attn_weights(fq[:, rows], g, keys, bufs[w])
+        gob = go[:, rows]
+        fgo = (fq[:, None, rows] * gob).reshape(k * c, -1)
+        np.matmul(np.concatenate([gob, fgo, fq[:, rows] * rz[rows]]), e, out=parts[w])
+        q = np.dot(e, rhs)
+        dfq[:, rows] = (gob * q[:, : k * c].T.reshape(k, c, -1)).sum(axis=1)
+        dfq[:, rows] -= rz[rows] * q[:, k * c :].T
+        if turns is not None and not turns.wait(i):
+            return
+        acc += parts[w]
+        if turns is not None:
+            turns.done(i)
+
+
 def attention(f: Tensor, g: Tensor, h: Tensor) -> Tensor:
     """h @ softmax_keys(fᵀ g)ᵀ for f, g (n, k, HW) and h (n, c, HW) → (n, c, HW).
 
     Query rows are independent, so they are processed in blocks of
     `_attn_rows(HW)` rows and the HW×HW score matrix never exists whole
-    (Rabe & Staats 2021). Each block's exponentials e go into one reused
+    (Rabe & Staats 2021). Each block's exponentials e go into a reused
     buffer, and the softmax's row sums z come out of the output product
     [h; 1] @ eᵀ. As in FlashAttention (Dao et al. 2022), backward recomputes
     e instead of keeping it, and with r = Σ_c dO∘O (the row term of the
     softmax gradient) it needs two products per block and never forms the
     scores' gradient: [dO/z; f∘dO/z; f∘r/z] @ e gives dh and dg, and
     e @ [g∘h; g]ᵀ gives df.
+
+    The blocks are shared among `_WORKERS` threads (one unless BLAS runs one
+    thread), as FlashAttention-2 (Dao 2023) splits its work across query
+    blocks, each worker taking every `_WORKERS`-th block into its own e
+    buffer. A block writes only its own columns of the output and of df, and
+    its part of the dh and dg sums is added after the previous block's, so
+    the sums round as on one thread and the result does not depend on the
+    worker count.
     """
     fd, gd, hd = f.data, g.data, h.data
     if fd.ndim != 3 or fd.shape != gd.shape:
@@ -469,36 +619,33 @@ def attention(f: Tensor, g: Tensor, h: Tensor) -> Tensor:
     n, k, hw = fd.shape
     c = hd.shape[1]
     step = _attn_rows(hw)
-    buf = np.empty((step, hw))  # each block's e; backward takes its own, so the graph keeps none
+    plans = [_attn_blocks(fd[b], gd[b], step) for b in range(n)]  # per item: query order, blocks
+    # One worker per block of a k > 1 split at most, so that a call whose
+    # queries fit in one block runs inline even when k = 1 splits it by sign
+    workers = min(_WORKERS, -(-hw // step))
+    bufs = np.empty((workers, step, hw))  # e per worker; backward takes its own, the graph none
     out = np.empty(hd.shape)
-    plans = []  # per item: query order, blocks, sorted queries, row sums
-    for b in range(n):
-        order, blocks = _attn_blocks(fd[b], gd[b], step)
+    for b, (order, blocks) in enumerate(plans):
         fq = fd[b][:, order]
         hx = np.concatenate([hd[b], np.ones((1, hw))])
         r = np.empty((c + 1, hw))
-        for rows, keys in blocks:
-            r[:, rows] = hx @ _attn_weights(fq[:, rows], gd[b], keys, buf).T
+        _run_blocks(_attn_fwd, len(blocks), workers, blocks, fq, gd[b], hx, r, bufs)
         out[b][:, order] = r[:c] / r[c]
-        plans.append((order, blocks, fq, r[c].copy()))
+        plans[b] += (fq, r[c].copy())  # sorted queries, row sums
     nf, ng, nh = f.node, g.node, h.node
 
     def backprop(gout):
         df, dg, dh = np.empty_like(fd), np.empty_like(gd), np.empty_like(hd)
-        buf = np.empty((step, hw))
+        bufs = np.empty((workers, step, hw))
+        parts = np.empty((workers, c + k * c + k, hw))  # each block's share of acc
         for b, (order, blocks, fq, z) in enumerate(plans):
             go = gout[b][:, order] / z
             rz = (gout[b] * out[b]).sum(axis=0)[order] / z
-            lhs = np.concatenate([go, (fq[:, None] * go).reshape(k * c, hw), fq * rz])
             rhs = np.concatenate([(gd[b][:, None] * hd[b]).reshape(k * c, hw), gd[b]]).T
-            acc, part = np.zeros((2, len(lhs), hw))
+            acc = np.zeros((c + k * c + k, hw))
             dfq = np.empty((k, hw))
-            for rows, keys in blocks:
-                e = _attn_weights(fq[:, rows], gd[b], keys, buf)
-                acc += np.matmul(lhs[:, rows], e, out=part)
-                q = e @ rhs
-                dfq[:, rows] = (go[:, rows] * q[:, : k * c].T.reshape(k, c, -1)).sum(axis=1)
-                dfq[:, rows] -= rz[rows] * q[:, k * c :].T
+            args = (blocks, fq, gd[b], go, rz, rhs, acc, dfq, bufs, parts)
+            _run_blocks(_attn_bwd, len(blocks), workers, *args)
             dh[b] = acc[:c]
             dg[b] = (acc[c : c + k * c].reshape(k, c, hw) * hd[b]).sum(axis=1) - acc[c + k * c :]
             df[b][:, order] = dfq

@@ -4,9 +4,11 @@ Training data comes from the frames that travel with full chroma: the
 luma input is the codec-decoded (lossy) plane, matching exactly what
 the decoder-side generator will see, while the chroma target is
 pristine. Each step optionally updates the discriminator, then updates
-the generator on the weighted mixed objective. Everything is seeded and
-single-threaded, so a (config, pairs, seed) triple always reproduces
-bit-identical weights.
+the generator on the weighted mixed objective. Everything is seeded, so a
+(config, pairs, seed) triple always reproduces bit-identical weights on one
+host and BLAS setting. Attention's query blocks run on several threads
+when BLAS is pinned to one thread (see `tensor.attention`), and the
+results do not depend on how many.
 """
 
 from __future__ import annotations

@@ -453,6 +453,15 @@ class TestRdReport:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_csv_with_byte_order_mark(self, tmp_path, capsys):
+        anchor, proposed = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_curve(anchor, ref.anchor_points("Silent"))
+        save_curve(proposed, ref.proposed_points("Silent"))
+        proposed.write_bytes(b"\xef\xbb\xbf" + proposed.read_bytes())
+        assert run(["rd-report", "--anchor", anchor, "--proposed", proposed]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert abs(report["bd_rate_percent"] - (-90.46)) < 0.5
+
     def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):
         good = tmp_path / "a.csv"
         save_curve(good, ref.anchor_points("Silent"))

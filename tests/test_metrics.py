@@ -346,6 +346,10 @@ class TestCurveIO:
         with pytest.raises(DataError, match="^line 5: "):
             metrics.curve_from_csv(data)
 
+    def test_csv_with_byte_order_mark(self):
+        data = metrics.curve_to_csv(metrics.curve([(100.5, 30.25, 42), (200.0, 32.5, 37)]))
+        assert metrics.curve_from_csv(b"\xef\xbb\xbf" + data) == metrics.curve_from_csv(data)
+
     def test_non_utf8_file_is_data_error(self):
         with pytest.raises(DataError, match="not UTF-8"):
             metrics.curve_from_csv(b"qp,bitrate_kbps,psnr_db\n27,100.0,30.0\xff\n")

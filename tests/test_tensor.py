@@ -6,6 +6,11 @@ differences, and the transposed convolution also with the adjoint
 identity <conv(x), y> == <x, conv_t(y)>.
 """
 
+import itertools
+import os
+import signal
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -617,6 +622,31 @@ def composite_attention(f, g, h):
     return T.matmul(h, T.transpose_last2(T.softmax(scores)))
 
 
+def attention_results(fn, arrays, proj):
+    """fn(f, g, h) and the gradients of <fn(f, g, h), proj> for f, g, h."""
+    leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    T.backward(T.tsum(T.mul(out, T.Tensor(proj))))
+    return [out.data] + [t.grad for t in leaves]
+
+
+def raised_within(seconds, fn):
+    """What fn() raised, as a list, run on a thread that must end in time."""
+    caught = []
+
+    def run():
+        try:
+            fn()
+        except Exception as exc:
+            caught.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no result within {seconds} s"
+    return caught
+
+
 class TestAttention:
     # (n, k, c, HW, blocks of query rows, queries): every case spans at least
     # two blocks with a partial last one; k = 1 sorts the queries by sign and
@@ -646,14 +676,116 @@ class TestAttention:
         elif queries == "zeros":
             arrays[0][..., ::3] = 0.0
         proj = rng.standard_normal((n, c, hw))
-        results = []
-        for fn in (T.attention, composite_attention):
-            leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
-            out = fn(*leaves)
-            T.backward(T.tsum(T.mul(out, T.Tensor(proj))))
-            results.append([out.data] + [t.grad for t in leaves])
+        results = [attention_results(fn, arrays, proj) for fn in (T.attention, composite_attention)]
         for got, want in zip(*results):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # k = 1 with mixed-sign queries, k = 2, and n = 2, each over at least
+    # four query blocks per item
+    @pytest.mark.parametrize("n,k,c,hw", [(1, 1, 8, 600), (1, 2, 12, 600), (2, 1, 4, 520)])
+    def test_worker_count_changes_no_bit(self, n, k, c, hw, monkeypatch):
+        rng = np.random.default_rng(hw + k)
+        f, g, h, proj = (rng.standard_normal(s) for s in ((n, k, hw), (n, k, hw), (n, c, hw), (n, c, hw)))
+        step = T._attn_rows(hw)
+        assert all(len(T._attn_blocks(f[b], g[b], step)[1]) >= 4 for b in range(n))
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(T, "_WORKERS", workers)
+            results.append(attention_results(T.attention, (f, g, h), proj))
+        for got in results[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(got, results[0]))
+
+    def test_call_within_one_block_runs_inline(self, monkeypatch):
+        # as at 16×16: k = 1 splits the queries by sign into two blocks, but
+        # together they fit in one, so no thread is worth its start-up
+        monkeypatch.setattr(T, "_WORKERS", 2)
+        monkeypatch.setattr(T, "_Turns", None)  # the threaded path would call it
+        rng = np.random.default_rng(4)
+        arrays = [rng.standard_normal(s) for s in ((1, 1, 256), (1, 1, 256), (1, 8, 256))]
+        assert len(T._attn_blocks(arrays[0][0], arrays[1][0], T._attn_rows(256))[1]) == 2
+        attention_results(T.attention, arrays, rng.standard_normal((1, 8, 256)))
+
+    # An exception that escaped a worker thread would fail the test as well:
+    # the suite's `filterwarnings = error` turns pytest's
+    # PytestUnhandledThreadExceptionWarning into an error.
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_error_reaches_caller(self, workers, monkeypatch):
+        monkeypatch.setattr(T, "_WORKERS", workers)
+        rng = np.random.default_rng(workers)
+        f, g, h = (
+            T.Tensor(rng.standard_normal(s), requires_grad=True)
+            for s in ((1, 1, 600), (1, 1, 600), (1, 4, 600))
+        )
+        out = T.attention(f, g, h)
+        weights = T._attn_weights
+        for call in (lambda: T.attention(f, g, h), lambda: T.backward(T.tsum(out))):
+            calls = itertools.count()
+
+            def fail_third_block(*args):
+                if next(calls) == 2:
+                    raise RuntimeError("third block")
+                return weights(*args)
+
+            monkeypatch.setattr(T, "_attn_weights", fail_third_block)
+            threads = threading.active_count()
+            caught = raised_within(30, call)
+            assert [str(exc) for exc in caught] == ["third block"]
+            assert threading.active_count() == threads
+
+    def test_forked_child_runs_attention(self, monkeypatch):
+        # no worker outlives a call, so a child forked after one inherits no
+        # thread, lock or condition that it would wait on
+        monkeypatch.setattr(T, "_WORKERS", 2)
+        rng = np.random.default_rng(3)
+        arrays = [rng.standard_normal(s) for s in ((1, 1, 600), (1, 1, 600), (1, 4, 600))]
+        proj = rng.standard_normal((1, 4, 600))
+        threads = threading.active_count()
+        want = attention_results(T.attention, arrays, proj)
+        assert threading.active_count() == threads
+        pid = os.fork()
+        if pid == 0:  # the child must never return into pytest
+            code = 1
+            try:
+                got = attention_results(T.attention, arrays, proj)
+                code = 0 if all(np.array_equal(a, b) for a, b in zip(got, want)) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child did not finish within 60 s")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+
+    @pytest.mark.parametrize(
+        "env,pinned",
+        [
+            ({}, False),
+            ({"OPENBLAS_NUM_THREADS": "1"}, True),
+            ({"OMP_NUM_THREADS": "1"}, True),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+            ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, True),
+            ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "4"}, False),
+        ],
+    )
+    def test_blas_pinned_reads_openblas_variables(self, env, pinned, monkeypatch):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert T._blas_pinned() is pinned
+
+    @pytest.mark.parametrize(
+        "cores,pinned,workers", [(64, True, T.ATTN_MAX_WORKERS), (1, True, 1), (64, False, 1)]
+    )
+    def test_worker_count_is_capped(self, cores, pinned, workers, monkeypatch):
+        # every worker holds its own buffers, so a many-core host must not
+        # multiply the memory by its core count
+        monkeypatch.setattr(T, "_cores", lambda: cores)
+        monkeypatch.setattr(T, "_blas_pinned", lambda: pinned)
+        assert T._worker_count() == workers
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_large_scores_stay_finite(self, k):

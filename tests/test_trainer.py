@@ -140,6 +140,15 @@ class TestTrainLoop:
         assert stores_equal(finals[0][0], finals[1][0])
         assert stores_equal(finals[0][1], finals[1][1])
 
+    def test_64x64_step_does_not_depend_on_attention_workers(self, monkeypatch):
+        blobs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(T, "_WORKERS", workers)
+            net_cfg, gen, disc, pairs = tiny_setup(w=64, h=64, seed=14)
+            trainer.train(gen, disc, net_cfg, pairs, trainer.TrainConfig(steps=1, seed=14))
+            blobs.append(network.serialize_weights(gen, net_cfg))
+        assert blobs[0] == blobs[1]
+
     def test_content_targets_extracted_once_per_call(self, monkeypatch):
         net_cfg, gen, disc, _ = tiny_setup(seed=13)
         pairs = trainer.build_training_set(make_sequence(7, seed=13), pipeline.split_gops(7, 6), qp=32)
