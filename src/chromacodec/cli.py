@@ -141,7 +141,13 @@ def cmd_decode(args) -> int:
     video = pipeline.deserialize_video(Path(args.input).read_bytes())
     if Path(args.out).suffix.lower() == ".ppm" and video.frame_count != 1:
         raise ConfigError(f"cannot write {video.frame_count} frames to a single .ppm")
-    frames = pipeline.decode_sequence(video)
+    try:
+        frames = pipeline.decode_sequence(video)
+    except MemoryError:
+        # the colorizer's activations grow with the declared frame size
+        raise DataError(
+            f"not enough memory to decode the stream's {video.width}x{video.height} frames"
+        ) from None
     _write_frames(args.out, frames)
     print(f"decoded {len(frames)} frames of {video.width}x{video.height}")
     return EXIT_OK

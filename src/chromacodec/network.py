@@ -9,6 +9,10 @@ self-attention layer whose contribution is scaled by a learnable gain
 that starts at zero. The decoder concatenates each upsampled level with
 the matching skip and ends in a 1×1 convolution squashed by tanh,
 producing two chroma channels in [-1, 1] from one luma channel.
+Each skip is computed right after its encoder level, so that level's
+output is dropped before the next level runs; at decode, where no graph
+is recorded, each activation is freed as soon as its last reader has
+run.
 
 The discriminator is five convolutions producing a sigmoid patch map at
 one eighth of the input resolution.
@@ -168,7 +172,11 @@ def optimized_rc(store: dict[str, T.Tensor], prefix: str, x: T.Tensor, use_glrc:
     """Four chained conv3+conv1 residual blocks, plus a long 1×1 shortcut."""
     r = x
     for j in range(1, 5):
-        r = _conv(store, f"{prefix}.b{j}.f3", r, 1, 1) + _conv(store, f"{prefix}.b{j}.f1", r)
+        # the block's input is dropped before the join, and `a` right after it
+        a = _conv(store, f"{prefix}.b{j}.f3", r, 1, 1)
+        r = _conv(store, f"{prefix}.b{j}.f1", r)
+        r = a + r
+        del a
     if use_glrc:
         return _conv(store, f"{prefix}.glrc", x) + r
     return r
@@ -199,19 +207,19 @@ def generator_forward(store: dict[str, T.Tensor], config: NetworkConfig, luma: T
     if h % 8 or w % 8:
         raise DimensionError(f"input dims must be divisible by 8, got {h}×{w}")
 
-    m1 = multires_block(store, "m1", luma)
-    m2 = multires_block(store, "m2", T.maxpool2(m1))
-    m3 = multires_block(store, "m3", T.maxpool2(m2))
-    m4 = multires_block(store, "m4", T.maxpool2(m3))
-
-    d1 = T.concat([m4, _skip(store, config, 4, m4)], axis=1)
-    u1 = T.relu(T.conv_transpose2d(d1, store["up1.w"], store["up1.b"], 2))
-    d2 = T.concat([u1, _skip(store, config, 3, m3)], axis=1)
-    u2 = T.relu(T.conv_transpose2d(d2, store["up2.w"], store["up2.b"], 2))
-    d3 = T.concat([u2, _skip(store, config, 2, m2)], axis=1)
-    u3 = T.relu(T.conv_transpose2d(d3, store["up3.w"], store["up3.b"], 2))
-    d4 = T.concat([u3, _skip(store, config, 1, m1)], axis=1)
-    return T.tanh(_conv(store, "head", d4))
+    # one op per statement, so each activation goes once its last reader has run
+    x, skips = luma, []
+    for level in range(1, 5):
+        if level > 1:
+            x = T.maxpool2(x)
+        x = multires_block(store, f"m{level}", x)
+        skips.append(_skip(store, config, level, x))
+    for up in ("up1", "up2", "up3"):
+        x = T.concat([x, skips.pop()], axis=1)
+        x = T.conv_transpose2d(x, store[f"{up}.w"], store[f"{up}.b"], 2)
+        x = T.relu(x)
+    x = T.concat([x, skips.pop()], axis=1)
+    return T.tanh(_conv(store, "head", x))
 
 
 def generator_level_shapes(config: NetworkConfig):

@@ -7,8 +7,8 @@ holds a gradient, never a value: each rule keeps only the arrays its
 gradient reads (the save-for-backward pattern of PyTorch's autograd), so
 an op output that no rule reads is freed as soon as forward drops it.
 One helper, :func:`_op`, wires every op's rule except `attention`'s: an
-op gives it one gradient function per input, and the helper calls only
-those of inputs that need a gradient.
+op gives it one gradient function per input, and the helper keeps and
+calls only those of inputs that need a gradient.
 :func:`backward` walks the recorded graph once in reverse topological
 order, accumulates d(loss)/d(leaf) into every leaf that was created with
 ``requires_grad=True``, and frees each node as it goes.
@@ -139,7 +139,9 @@ def _as_tensor(x) -> Tensor:
 def _op(data, inputs, *grads) -> Tensor:
     """The output of an op on `inputs` whose rule hands input i grads[i](g).
 
-    A grad runs only for an input whose node needs a gradient. It returns
+    A grad runs only for an input whose node needs a gradient; the grads of
+    the others are dropped here, when the node is recorded, so the arrays
+    they alone close over are freed with the forward values. A grad returns
     a new array, g itself, or a view of g that no other grad's view
     overlaps (concat's slices). `_accum` keeps the first array a node is
     handed, so g itself goes to one input only and any later input gets a
@@ -147,11 +149,12 @@ def _op(data, inputs, *grads) -> Tensor:
     Tensor, as `_result` asks of a rule.
     """
     nodes = tuple(t.node for t in inputs)
+    grads = tuple(grad if node.requires_grad else None for node, grad in zip(nodes, grads))
 
     def backprop(g):
         handed = False
         for node, grad in zip(nodes, grads):
-            if node.requires_grad:
+            if grad is not None:
                 gi = grad(g)
                 if gi is g:
                     gi, handed = (g.copy() if handed else g), True
@@ -318,13 +321,15 @@ def l2_norm(t: Tensor) -> Tensor:
 # activations
 # ---------------------------------------------------------------------------
 
-# relu and leaky_relu read their mask off their own output, which the next
-# op usually keeps anyway: max(x, 0) > 0 and where(x > 0, x, 0.2x) > 0 each
-# hold exactly when x > 0, so the input need not be kept.
+# relu and leaky_relu keep only a one-byte mask, output > 0, and only when
+# the output is recorded: max(x, 0) > 0 and where(x > 0, x, 0.2x) > 0 each
+# hold exactly when x > 0, and neither the input nor the float64 output
+# need be kept for the gradient.
 
 def relu(t: Tensor) -> Tensor:
     data = np.maximum(t.data, 0.0)
-    return _op(data, (t,), lambda g: g * (data > 0.0))
+    mask = data > 0.0 if t.requires_grad else None
+    return _op(data, (t,), lambda g: g * mask)
 
 
 LEAK = 0.2  # leaky_relu's negative-side gain, as in DCGAN's discriminator
@@ -333,7 +338,8 @@ LOG_FLOOR = 1e-12  # log_floor's input floor
 
 def leaky_relu(t: Tensor) -> Tensor:
     data = np.where(t.data > 0.0, t.data, LEAK * t.data)
-    return _op(data, (t,), lambda g: g * np.where(data > 0.0, 1.0, LEAK))
+    mask = data > 0.0 if t.requires_grad else None
+    return _op(data, (t,), lambda g: g * np.where(mask, 1.0, LEAK))
 
 
 def sigmoid(t: Tensor) -> Tensor:
@@ -793,13 +799,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     """2-D convolution, weights (Cout, Cin, k, k), square kernels."""
     xd, wd = x.data, w.data
     _check_conv("conv2d", xd, wd, b, cin_axis=1)
-    k = wd.shape[2]
+    k, x_shape = wd.shape[2], xd.shape  # only the weight gradient reads xd
     out = _conv_fwd(xd, wd, stride, padding)
     out += b.data.reshape(1, -1, 1, 1)
     return _op(
         out,
         (x, w, b),
-        lambda g: _conv_dx(g, wd, xd.shape, stride, padding),
+        lambda g: _conv_dx(g, wd, x_shape, stride, padding),
         lambda g: _conv_dw(xd, g, k, stride, padding),
         lambda g: g.sum(axis=(0, 2, 3)),
     )

@@ -273,6 +273,21 @@ class TestErrorPaths:
         assert proc.returncode == 3, proc.stderr
         assert "cannot hold" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_frames_too_large_to_colorize_are_data_error(
+        self, raw_input, tmp_path, capsys, monkeypatch
+    ):
+        # the plane cap admits 65535×65535 frames, whose forward needs terabytes
+        weights = self._trained_weights(raw_input, tmp_path)
+        assert self._encode(raw_input, tmp_path, weights) == 0
+
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(network, "generator_forward", out_of_memory)
+        assert run(["decode", "--input", tmp_path / "s.cgv", "--out", tmp_path / "d.yuv"]) == 3
+        err = capsys.readouterr().err
+        assert "16x16" in err and "Traceback" not in err
+
     def test_mutated_stream_is_data_error(self, raw_input, tmp_path, capsys):
         weights = self._trained_weights(raw_input, tmp_path)
         assert self._encode(raw_input, tmp_path, weights) == 0

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,35 @@ def small_config(**kw):
     base = dict(width=16, height=16, base_channels=8)
     base.update(kw)
     return net.NetworkConfig(**base)
+
+
+def unrolled_generator_forward(store, config, luma):
+    """Reference: the generator with every stage output named until it
+    returns, and each residual block written as one sum."""
+
+    def skip(level, x):
+        r = x
+        for j in range(1, 5):
+            prefix = f"rc{level}.b{j}"
+            r = net._conv(store, f"{prefix}.f3", r, 1, 1) + net._conv(store, f"{prefix}.f1", r)
+        if config.use_glrc:
+            r = net._conv(store, f"rc{level}.glrc", x) + r
+        if config.use_attention:
+            r = net.self_attention(store, f"att{level}", r)
+        return r
+
+    m1 = net.multires_block(store, "m1", luma)
+    m2 = net.multires_block(store, "m2", T.maxpool2(m1))
+    m3 = net.multires_block(store, "m3", T.maxpool2(m2))
+    m4 = net.multires_block(store, "m4", T.maxpool2(m3))
+    d1 = T.concat([m4, skip(4, m4)], axis=1)
+    u1 = T.relu(T.conv_transpose2d(d1, store["up1.w"], store["up1.b"], 2))
+    d2 = T.concat([u1, skip(3, m3)], axis=1)
+    u2 = T.relu(T.conv_transpose2d(d2, store["up2.w"], store["up2.b"], 2))
+    d3 = T.concat([u2, skip(2, m2)], axis=1)
+    u3 = T.relu(T.conv_transpose2d(d3, store["up3.w"], store["up3.b"], 2))
+    d4 = T.concat([u3, skip(1, m1)], axis=1)
+    return T.tanh(net._conv(store, "head", d4))
 
 
 class TestConfig:
@@ -199,6 +229,45 @@ class TestGenerator:
         net.generator_forward(gstore, cfg, T.Tensor(rng.uniform(-1, 1, (1, 1, h, w))))
         net.discriminator_forward(dstore, T.Tensor(rng.uniform(-1, 1, (1, 3, h, w))))
         assert seen == net.generator_level_shapes(cfg)
+
+    @pytest.mark.parametrize("attention", [True, False], ids=["att", "no_att"])
+    @pytest.mark.parametrize("glrc", [True, False], ids=["glrc", "no_glrc"])
+    @pytest.mark.parametrize("w,h", [(16, 24), (40, 32)])
+    def test_matches_unrolled_reference(self, w, h, attention, glrc):
+        # same values and same gradients, bit for bit, as the unrolled graph
+        cfg = net.NetworkConfig(width=w, height=h, use_attention=attention, use_glrc=glrc)
+        rng = np.random.default_rng(19)
+        luma = rng.uniform(-1, 1, (1, 1, h, w))
+        target = T.Tensor(rng.uniform(-1, 1, (1, 2, h, w)))
+        results = []
+        for forward in (net.generator_forward, unrolled_generator_forward):
+            store = net.init_generator(cfg, seed=20)
+            for name in ("att1.gain", "att3.gain"):
+                if name in store:  # a nonzero gain, so attention reaches the output
+                    store[name].data[...] = 0.5
+            out = forward(store, cfg, T.Tensor(luma))
+            T.backward(T.mean(T.square(out - target)))
+            results.append([out.data] + [store[k].grad for k in sorted(store)])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    # no graph at decode: each activation goes once its last reader has run.
+    # Before the level loop, the 176×144 forward peaked at 11.76 MiB and the
+    # 64×64 one with attention, on the benchmark's two workers, at 3.76 MiB
+    @pytest.mark.parametrize("w,h,attention,limit_mib", [(176, 144, False, 8.5), (64, 64, True, 3.4)])
+    def test_decode_forward_peak_memory(self, w, h, attention, limit_mib, monkeypatch):
+        monkeypatch.setattr(T, "_WORKERS", 2)
+        cfg = net.NetworkConfig(width=w, height=h, use_attention=attention)
+        blob = net.serialize_weights(net.init_generator(cfg, seed=21), cfg)
+        store, _ = net.deserialize_weights(blob)
+        luma = T.Tensor(np.random.default_rng(14).uniform(-1, 1, (1, 1, h, w)))
+        tracemalloc.start()
+        try:
+            net.generator_forward(store, cfg, luma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
 
     def test_deterministic_given_seed(self):
         cfg = small_config()

@@ -297,6 +297,49 @@ class TestSavedArrays:
         [(T.relu, lambda x: x > 0.0), (T.leaky_relu, lambda x: np.where(x > 0.0, 1.0, T.LEAK))],
         ids=["relu", "leaky_relu"],
     )
+    def test_recorded_activation_output_freed_once_dropped(self, op, input_mask):
+        # the rule keeps a one-byte mask, not the float64 output
+        grads = []
+        for drop in (True, False):
+            x = T.Tensor(np.linspace(-1.0, 1.0, 24).reshape(1, 2, 3, 4), requires_grad=True)
+            out = op(x)
+            loss = T.tsum(T.scale(out, 3.0))
+            ref = weakref.ref(out.data)
+            if drop:
+                del out
+                assert ref() is None
+            T.backward(loss)
+            grads.append(x.grad)
+        assert np.array_equal(grads[0], grads[1])
+        assert np.array_equal(grads[0], 3.0 * input_mask(x.data))
+
+    @pytest.mark.parametrize(
+        "op, w_shape", [(T.conv2d, (4, 3, 3, 3)), (T.conv_transpose2d, (3, 4, 2, 2))],
+        ids=["conv2d", "conv_transpose2d"],
+    )
+    def test_frozen_weights_keep_no_input(self, op, w_shape):
+        # only the weight gradient reads the input, and frozen weights need none
+        grads = []
+        for drop in (True, False):
+            rng = np.random.default_rng(22)
+            leaf = T.Tensor(rng.standard_normal((1, 3, 9, 10)), requires_grad=True)
+            w = T.Tensor(rng.standard_normal(w_shape))
+            b = T.Tensor(rng.standard_normal(4))  # both kernels have 4 output channels
+            x = T.scale(leaf, 2.0)
+            out = op(x, w, b, 2)
+            ref = weakref.ref(x.data)
+            if drop:
+                del x
+                assert ref() is None
+            T.backward(T.tsum(T.square(out)))
+            grads.append(leaf.grad)
+        assert np.array_equal(grads[0], grads[1])
+
+    @pytest.mark.parametrize(
+        "op, input_mask",
+        [(T.relu, lambda x: x > 0.0), (T.leaky_relu, lambda x: np.where(x > 0.0, 1.0, T.LEAK))],
+        ids=["relu", "leaky_relu"],
+    )
     def test_mask_from_output_matches_input_mask(self, op, input_mask):
         # the rule reads its output's sign; the gradient is the one an input
         # mask gives, bit for bit, at signed zeros and subnormals too
