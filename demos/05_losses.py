@@ -35,10 +35,10 @@ print(f"gan_loss      : {losses.gan_loss(scores).item():.5f}")
 print(f"disc_loss     : {losses.discriminator_loss(scores, scores).item():.5f}")
 
 # The mix weights each component; the named groups are the ablation arms.
-total, parts = losses.mixed_loss(losses.LossWeights(), losses.gan_loss(scores),
-                                 mse, content, color)
-print(f"mixed total   : {total.item():.4f}  parts: "
-      + ", ".join(f"{k}={v.item():.5f}" for k, v in parts.items()))
+gan = losses.gan_loss(scores)
+total = losses.mixed_loss(losses.LossWeights(), gan, mse, content, color)
+print(f"mixed total   : {total.item():.4f}  parts: gan={gan.item():.5f}, "
+      f"mse={mse.item():.5f}, content={content.item():.5f}, color={color.item():.5f}")
 print("loss groups:")
 for name in sorted(losses.LOSS_GROUPS):
     w = losses.LOSS_GROUPS[name]

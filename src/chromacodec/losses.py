@@ -128,17 +128,10 @@ def content_loss(extractor, gen: T.Tensor, target_features: T.Tensor) -> T.Tenso
 
 
 def mixed_loss(weights: LossWeights, gan, mse, content, color):
-    """Weighted total plus the individual components for logging."""
-    parts = {
-        "gan": gan,
-        "mse": mse,
-        "content": content,
-        "color": color,
-    }
-    total = (
+    """The weighted total of the four components."""
+    return (
         T.scale(gan, weights.gan)
         + T.scale(mse, weights.mse)
         + T.scale(content, weights.content)
         + T.scale(color, weights.color)
     )
-    return total, parts

@@ -81,6 +81,19 @@ class CompressedVideo:
         return len(self.records)
 
 
+def _frame_dims(frames):
+    """(width, height) of a sequence the colorizer can code: every frame
+    has frame 0's dims, and both are multiples of 8. `encode_sequence` and
+    the CLI's `train` share this one check."""
+    w, h = frames[0].y.width, frames[0].y.height
+    if w % 8 or h % 8:
+        raise DimensionError(f"frame dims must be divisible by 8, got {w}×{h}")
+    for i, frame in enumerate(frames):
+        if (frame.y.width, frame.y.height) != (w, h):
+            raise DimensionError(f"frame {i} dims differ from frame 0")
+    return w, h
+
+
 def encode_sequence(frames, qp: int, gop: GopStructure, gen_store, net_config, fps: float = 30.0):
     """Compress 4:4:4 frames; returns (CompressedVideo, kbps at the given fps)."""
     if not 0 < fps < math.inf:
@@ -89,16 +102,11 @@ def encode_sequence(frames, qp: int, gop: GopStructure, gen_store, net_config, f
         raise DimensionError(
             f"gop structure covers {gop.frame_count} frames, got {len(frames)}"
         )
-    first = frames[0]
-    w, h = first.y.width, first.y.height
-    if w % 8 or h % 8:
-        raise DimensionError(f"frame dims must be divisible by 8, got {w}×{h}")
+    w, h = _frame_dims(frames)
     records = []
     for i, frame in enumerate(frames):
         if frame.mode is not SubsamplingMode.S444:
             raise ConfigError(f"frame {i} is {frame.mode.value}, expected 4:4:4")
-        if (frame.y.width, frame.y.height) != (w, h):
-            raise DimensionError(f"frame {i} dims differ from frame 0")
         if gop.is_anchor(i):
             sub = subsample(frame)
             payloads = tuple(

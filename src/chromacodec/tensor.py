@@ -437,10 +437,11 @@ def _cores():
     return os.cpu_count() or 1
 
 
-# At most this many threads share `attention`'s query blocks. Each holds its
-# own e buffer and, in backward, its own share of the sums: step + (k + 1)c + k
-# rows of HW floats, 1.07 MB at HW 4096 with c = 8 and k = 1. Memory grows
-# with the count, and two is the count measured.
+# `attention`'s query blocks fall into this many fixed shares, even and odd
+# blocks, and at most this many threads run them, one share each. Each thread
+# holds its own e buffer and, in backward, its own buffer for a block's part
+# of the sums: step + (k + 1)c + k rows of HW floats, 1.07 MB at HW 4096 with
+# c = 8 and k = 1. Two is the count measured, and `_run_shares` runs two.
 ATTN_MAX_WORKERS = 2
 
 
@@ -491,67 +492,31 @@ def _attn_weights(fq, g, keys, buf):
     return np.exp(e, out=e)
 
 
-class _Turns:
-    """The order in which the workers of one `attention` call add their
-    blocks' parts: block i adds after block i − 1. Once a worker fails,
-    every wait returns False at once."""
-
-    def __init__(self):
-        self.cond = threading.Condition()
-        self.next = 0
-        self.failed = False
-
-    def wait(self, i):
-        with self.cond:
-            self.cond.wait_for(lambda: self.failed or self.next == i)
-            return not self.failed
-
-    def done(self, i):
-        with self.cond:
-            self.next = i + 1
-            self.cond.notify_all()
-
-    def fail(self):
-        with self.cond:
-            self.failed = True
-            self.cond.notify_all()
-
-
-def _run_blocks(kernel, blocks, workers, *args):
-    """kernel(share, w, turns, *args) over block indices 0..blocks − 1.
-
-    One worker runs them all inline, with `turns` None. Otherwise worker w
-    of W takes blocks w, w + W, w + 2W, …; worker 0 runs on the calling
-    thread and each other on a thread of its own that ends before this
-    returns. The first exception any worker raises reaches the caller, and
-    the others stop at their next block or turn.
+def _run_shares(kernel, workers):
+    """kernel(s, w) for the two shares s of `attention`'s query blocks, even
+    and odd. One worker (w = 0) runs share 0 and then share 1 on the calling
+    thread. Two run share 1 on a thread of its own (w = 1) that ends before
+    this returns, so no worker ever waits on another. The first exception
+    reaches the caller: share 0's if both raise.
     """
     if workers == 1:
-        return kernel(range(blocks), 0, None, *args)
-    shares = [range(w, blocks, workers) for w in range(workers)]
-    turns = _Turns()
+        kernel(0, 0)
+        kernel(1, 0)
+        return
     errors = []
 
-    def run(w):
+    def run():
         try:
-            kernel(shares[w], w, turns, *args)
+            kernel(1, 1)
         except BaseException as exc:
             errors.append(exc)
-            turns.fail()
 
-    started = []
+    thread = threading.Thread(target=run)
+    thread.start()
     try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=run, args=(w,))
-            thread.start()
-            started.append(thread)
-        run(0)
-    except BaseException:  # a thread could not start: stop those that did
-        turns.fail()
-        raise
+        kernel(0, 0)
     finally:
-        for thread in started:
-            thread.join()
+        thread.join()
     if errors:
         raise errors[0]
 
@@ -562,36 +527,6 @@ def _run_blocks(kernel, blocks, workers, *args):
 # ran them no faster on two threads than on one, np.dot 1.7x faster. The
 # others sum over k or a block's rows, and there np.matmul ran 10-40% faster
 # than np.dot, on one thread and on two.
-def _attn_fwd(share, w, turns, blocks, fq, g, hx, r, bufs):
-    """r[:, rows] = [h; 1] @ eᵀ for each block of `share`, e in bufs[w]."""
-    for i in share:
-        if turns is not None and turns.failed:
-            return
-        rows, keys = blocks[i]
-        r[:, rows] = np.dot(hx, _attn_weights(fq[:, rows], g, keys, bufs[w]).T)
-
-
-def _attn_bwd(share, w, turns, blocks, fq, g, go, rz, rhs, acc, dfq, bufs, parts):
-    """dfq's columns and acc += [go; f∘go; f∘rz] @ e for each block of
-    `share`, each block building its own columns of the left factor. The sums
-    into acc run in block order, so they round as on one thread."""
-    k, c = len(fq), len(go)
-    for i in share:
-        rows, keys = blocks[i]
-        e = _attn_weights(fq[:, rows], g, keys, bufs[w])
-        gob = go[:, rows]
-        fgo = (fq[:, None, rows] * gob).reshape(k * c, -1)
-        np.matmul(np.concatenate([gob, fgo, fq[:, rows] * rz[rows]]), e, out=parts[w])
-        q = np.dot(e, rhs)
-        dfq[:, rows] = (gob * q[:, : k * c].T.reshape(k, c, -1)).sum(axis=1)
-        dfq[:, rows] -= rz[rows] * q[:, k * c :].T
-        if turns is not None and not turns.wait(i):
-            return
-        acc += parts[w]
-        if turns is not None:
-            turns.done(i)
-
-
 def attention(f: Tensor, g: Tensor, h: Tensor) -> Tensor:
     """h @ softmax_keys(fᵀ g)ᵀ for f, g (n, k, HW) and h (n, c, HW) → (n, c, HW).
 
@@ -605,13 +540,14 @@ def attention(f: Tensor, g: Tensor, h: Tensor) -> Tensor:
     scores' gradient: [dO/z; f∘dO/z; f∘r/z] @ e gives dh and dg, and
     e @ [g∘h; g]ᵀ gives df.
 
-    The blocks are shared among `_WORKERS` threads (one unless BLAS runs one
-    thread), as FlashAttention-2 (Dao 2023) splits its work across query
-    blocks, each worker taking every `_WORKERS`-th block into its own e
-    buffer. A block writes only its own columns of the output and of df, and
-    its part of the dh and dg sums is added after the previous block's, so
-    the sums round as on one thread and the result does not depend on the
-    worker count.
+    The blocks fall into two fixed shares, even and odd, as FlashAttention-2
+    (Dao 2023) splits its work across query blocks: `_WORKERS` threads run
+    them (one unless BLAS runs one thread), each worker with its own e
+    buffer. A block writes only its own columns of the output and of df.
+    Backward sums each share's parts of the dh and dg sums in block order
+    into the share's own accumulator and adds the two once at the end, so the
+    sums round the same however many threads ran the shares (Demmel & Nguyen
+    2013) and the result does not depend on the worker count.
     """
     fd, gd, hd = f.data, g.data, h.data
     if fd.ndim != 3 or fd.shape != gd.shape:
@@ -628,14 +564,20 @@ def attention(f: Tensor, g: Tensor, h: Tensor) -> Tensor:
     plans = [_attn_blocks(fd[b], gd[b], step) for b in range(n)]  # per item: query order, blocks
     # One worker per block of a k > 1 split at most, so that a call whose
     # queries fit in one block runs inline even when k = 1 splits it by sign
-    workers = min(_WORKERS, -(-hw // step))
+    workers = min(_WORKERS, ATTN_MAX_WORKERS, -(-hw // step))
     bufs = np.empty((workers, step, hw))  # e per worker; backward takes its own, the graph none
     out = np.empty(hd.shape)
     for b, (order, blocks) in enumerate(plans):
         fq = fd[b][:, order]
         hx = np.concatenate([hd[b], np.ones((1, hw))])
         r = np.empty((c + 1, hw))
-        _run_blocks(_attn_fwd, len(blocks), workers, blocks, fq, gd[b], hx, r, bufs)
+
+        def forward(s, w):
+            """r[:, rows] = [h; 1] @ eᵀ for each block of share s, e in bufs[w]."""
+            for rows, keys in blocks[s::ATTN_MAX_WORKERS]:
+                r[:, rows] = np.dot(hx, _attn_weights(fq[:, rows], gd[b], keys, bufs[w]).T)
+
+        _run_shares(forward, workers)
         out[b][:, order] = r[:c] / r[c]
         plans[b] += (fq, r[c].copy())  # sorted queries, row sums
     nf, ng, nh = f.node, g.node, h.node
@@ -643,15 +585,31 @@ def attention(f: Tensor, g: Tensor, h: Tensor) -> Tensor:
     def backprop(gout):
         df, dg, dh = np.empty_like(fd), np.empty_like(gd), np.empty_like(hd)
         bufs = np.empty((workers, step, hw))
-        parts = np.empty((workers, c + k * c + k, hw))  # each block's share of acc
+        parts = np.empty((workers, c + k * c + k, hw))  # each block's part of its share's sum
         for b, (order, blocks, fq, z) in enumerate(plans):
             go = gout[b][:, order] / z
             rz = (gout[b] * out[b]).sum(axis=0)[order] / z
             rhs = np.concatenate([(gd[b][:, None] * hd[b]).reshape(k * c, hw), gd[b]]).T
-            acc = np.zeros((c + k * c + k, hw))
+            accs = np.zeros((ATTN_MAX_WORKERS, c + k * c + k, hw))  # one sum per share
             dfq = np.empty((k, hw))
-            args = (blocks, fq, gd[b], go, rz, rhs, acc, dfq, bufs, parts)
-            _run_blocks(_attn_bwd, len(blocks), workers, *args)
+
+            def backward(s, w):
+                """dfq's columns and accs[s] += [go; f∘go; f∘rz] @ e for each
+                block of share s, in block order, each block building its own
+                columns of the left factor."""
+                for rows, keys in blocks[s::ATTN_MAX_WORKERS]:
+                    e = _attn_weights(fq[:, rows], gd[b], keys, bufs[w])
+                    gob = go[:, rows]
+                    fgo = (fq[:, None, rows] * gob).reshape(k * c, -1)
+                    np.matmul(np.concatenate([gob, fgo, fq[:, rows] * rz[rows]]), e, out=parts[w])
+                    accs[s] += parts[w]
+                    q = np.dot(e, rhs)
+                    dfq[:, rows] = (gob * q[:, : k * c].T.reshape(k, c, -1)).sum(axis=1)
+                    dfq[:, rows] -= rz[rows] * q[:, k * c :].T
+
+            _run_shares(backward, workers)
+            acc = accs[0]
+            acc += accs[1]
             dh[b] = acc[:c]
             dg[b] = (acc[c : c + k * c].reshape(k, c, hw) * hd[b]).sum(axis=1) - acc[c + k * c :]
             df[b][:, order] = dfq

@@ -6,9 +6,10 @@ the decoder-side generator will see, while the chroma target is
 pristine. Each step optionally updates the discriminator, then updates
 the generator on the weighted mixed objective. Everything is seeded, so a
 (config, pairs, seed) triple always reproduces bit-identical weights on one
-host and BLAS setting. Attention's query blocks run on several threads
-when BLAS is pinned to one thread (see `tensor.attention`), and the
-results do not depend on how many.
+host and BLAS setting. Attention's query blocks fall into two fixed
+shares, run on two threads when BLAS is pinned to one thread and on one
+otherwise. Backward sums each share on its own and adds the two sums
+once, so the thread count cannot change a bit (see `tensor.attention`).
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def train(
         )
         color_term = losses.color_loss(gen_out, target_t) if w.color > 0 else zero
 
-        total, _ = losses.mixed_loss(w, gan_term, mse_term, content_term, color_term)
+        total = losses.mixed_loss(w, gan_term, mse_term, content_term, color_term)
         _check_finite(total.item(), "generator loss", step)
         for t in gen_params:
             t.zero_grad()

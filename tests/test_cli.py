@@ -187,6 +187,30 @@ class TestErrorPaths:
         return run(["encode", "--input", raw_input, "--width", 16, "--height", 16,
                     "--weights", weights, "--out", tmp_path / "s.cgv"])
 
+    # train and encode share one frame check, so they fail alike
+    @pytest.mark.parametrize("command", ["train", "encode"])
+    @pytest.mark.parametrize(
+        "sizes,message",
+        [
+            ((20,), "frame dims must be divisible by 8, got 20×20"),
+            ((16, 24), "frame 1 dims differ from frame 0"),
+        ],
+        ids=["not_multiples_of_8", "dims_differ"],
+    )
+    def test_frames_the_colorizer_cannot_code_are_data_error(
+        self, raw_input, tmp_path, capsys, command, sizes, message
+    ):
+        weights = self._trained_weights(raw_input, tmp_path)
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for i, size in enumerate(sizes):
+            rgb = np.full((size, size, 3), 120, dtype=np.uint8)
+            (frames / f"{i}.ppm").write_bytes(cs.rgb_to_ppm(rgb))
+        extra = {"train": ["--steps", 0], "encode": ["--weights", weights]}[command]
+        assert run([command, "--input", frames, *extra, "--out", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_too_few_channels_in_weight_header_is_data_error(self, raw_input, tmp_path, capsys):
         weights = self._trained_weights(raw_input, tmp_path)
         blob = bytearray(weights.read_bytes())

@@ -742,7 +742,11 @@ class TestAttention:
         # as at 16×16: k = 1 splits the queries by sign into two blocks, but
         # together they fit in one, so no thread is worth its start-up
         monkeypatch.setattr(T, "_WORKERS", 2)
-        monkeypatch.setattr(T, "_Turns", None)  # the threaded path would call it
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("attention started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
         rng = np.random.default_rng(4)
         arrays = [rng.standard_normal(s) for s in ((1, 1, 256), (1, 1, 256), (1, 8, 256))]
         assert len(T._attn_blocks(arrays[0][0], arrays[1][0], T._attn_rows(256))[1]) == 2
@@ -829,6 +833,31 @@ class TestAttention:
         monkeypatch.setattr(T, "_cores", lambda: cores)
         monkeypatch.setattr(T, "_blas_pinned", lambda: pinned)
         assert T._worker_count() == workers
+
+    # At HW 4096, k = 1 and c = 8, backward held 14.1× (one worker) and 18.3×
+    # (two) of c·HW float64s on top of the forward graph: its gradients, the left
+    # factor's inputs, each worker's e and parts buffers and one accumulator
+    # per share. The bounds leave a 10% margin; the whole-frame score matrix
+    # it never forms would be HW² float64s, 128 MiB, against their 5 MiB.
+    @pytest.mark.parametrize("workers,times", [(1, 15.5), (2, 20.0)])
+    def test_backward_peak_memory(self, workers, times, monkeypatch):
+        monkeypatch.setattr(T, "_WORKERS", workers)
+        k, c, hw = 1, 8, 4096
+        rng = np.random.default_rng(5)
+        f, g, h = (
+            T.Tensor(rng.standard_normal(s), requires_grad=True)
+            for s in ((1, k, hw), (1, k, hw), (1, c, hw))
+        )
+        loss = T.tsum(T.mul(T.attention(f, g, h), T.Tensor(rng.standard_normal((1, c, hw)))))
+        tracemalloc.start()
+        try:
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        limit = times * c * hw * 8
+        assert limit < hw * hw * 8 / 20
+        assert peak <= limit
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_large_scores_stay_finite(self, k):
