@@ -26,7 +26,7 @@ print("anchors:", gop.anchors)
 pairs = trainer.build_training_set(frames, gop, qp=32)
 print("training pairs:", len(pairs))
 
-config = network.NetworkConfig(width=32, height=32, base_channels=8)
+config = network.NetworkConfig(base_channels=8)
 gen = network.init_generator(config, seed=0)
 disc = network.init_discriminator(config, seed=0)
 train_config = trainer.TrainConfig(steps=40, seed=0)

@@ -22,7 +22,7 @@ frames = clip()
 qp = 32
 gop = pipeline.split_gops(len(frames), gop_size=3)
 
-config = network.NetworkConfig(width=32, height=32, base_channels=8)
+config = network.NetworkConfig(base_channels=8)
 gen = network.init_generator(config, seed=0)
 disc = network.init_discriminator(config, seed=0)
 pairs = trainer.build_training_set(frames, gop, qp)

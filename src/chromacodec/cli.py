@@ -106,10 +106,8 @@ def cmd_train(args) -> int:
         steps=args.steps, seed=args.seed, weights=losses.LossWeights(*args.loss_weights)
     )
     frames = _load_frames(args.input, args, args.mode)
-    width, height = pipeline._frame_dims(frames)
+    pipeline._frame_dims(frames)  # exit 3 on frames that encode would refuse
     net_config = network.NetworkConfig(
-        width=width,
-        height=height,
         base_channels=args.channels,
         use_attention=not args.no_attention,
         use_glrc=not args.no_glrc,

@@ -31,7 +31,7 @@ import itertools
 import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,19 +45,17 @@ ATTN_KEY_DIVISOR = 8  # f and g project channels down to ceil(C/8)
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Geometry and ablation switches shared by generator and discriminator."""
+    """Channel width and ablation switches shared by generator and discriminator.
+    The weights fit any frame size: `width` and `height` size only
+    `generator_level_shapes`, and configs that differ only in them are equal."""
 
-    width: int
-    height: int
+    width: int | None = field(default=None, compare=False)
+    height: int | None = field(default=None, compare=False)
     base_channels: int = 8
     use_attention: bool = True
     use_glrc: bool = True
 
     def __post_init__(self):
-        if self.width % 8 or self.height % 8:
-            raise ConfigError(
-                f"width and height must be divisible by 8, got {self.width}×{self.height}"
-            )
         # 6: the narrowest multires block splits 6 ways; 64: 2.1 M parameters
         if not 6 <= self.base_channels <= 64:
             raise ConfigError(f"base_channels must be in 6..64, got {self.base_channels}")
@@ -113,7 +111,7 @@ def _generator_tensors(config: NetworkConfig) -> tuple:
         if config.use_attention:
             key = -(-cout // ATTN_KEY_DIVISOR)
             out += _conv_tensors(f"att{i}.f", cout, key, 1)
-            out += _conv_tensors(f"att{i}.g", cout, key, 1)
+            out += _conv_tensors(f"att{i}.g", cout, key, 1)[:1]  # no bias: see self_attention
             out += _conv_tensors(f"att{i}.h", cout, cout, 1)
             out.append((f"att{i}.gain", (), 0))  # starts at 0: pure pass-through
         cin = cout
@@ -183,10 +181,18 @@ def optimized_rc(store: dict[str, T.Tensor], prefix: str, x: T.Tensor, use_glrc:
 
 
 def self_attention(store: dict[str, T.Tensor], prefix: str, x: T.Tensor) -> T.Tensor:
-    """Non-local mixing over all spatial positions, gated by a learned gain."""
+    """Non-local mixing over all spatial positions, gated by a learned gain.
+    The keys g get a constant zero bias: a bias b would add fᵢ·b to every
+    score of query i, a constant along the softmax's key axis."""
     n, c, h, w = x.shape
+    g_w = store[f"{prefix}.g.w"]
     f, g, hh = (
-        T.reshape(_conv(store, f"{prefix}.{p}", x), (n, -1, h * w)) for p in "fgh"
+        T.reshape(t, (n, -1, h * w))
+        for t in (
+            _conv(store, f"{prefix}.f", x),
+            T.conv2d(x, g_w, T.Tensor(np.zeros(g_w.shape[0]))),
+            _conv(store, f"{prefix}.h", x),
+        )
     )
     o = T.reshape(T.attention(f, g, hh), (n, c, h, w))
     return T.mul(o, store[f"{prefix}.gain"]) + x
@@ -277,17 +283,15 @@ def unit_to_chroma(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"CGWT"
-_VERSION = 2
-_HEADER = "<HIIIH"  # version, width, height, base channels, flags
+_VERSION = 3
+_HEADER = "<HIH"  # version, base channels, flags
 
 
 def serialize_weights(store: dict[str, T.Tensor], config: NetworkConfig) -> bytes:
     """Magic, header, then every generator tensor's float64 values in the
     order `_generator_tensors` lists them; all little-endian."""
     flags = (1 if config.use_attention else 0) | (2 if config.use_glrc else 0)
-    header = _MAGIC + struct.pack(
-        _HEADER, _VERSION, config.width, config.height, config.base_channels, flags
-    )
+    header = _MAGIC + struct.pack(_HEADER, _VERSION, config.base_channels, flags)
     return header + b"".join(
         store[name].data.astype("<f8").tobytes() for name, _, _ in _generator_tensors(config)
     )
@@ -299,15 +303,13 @@ def deserialize_weights(blob: bytes):
     r = Reader(blob, "weight file")
     if r.take(4, "magic") != _MAGIC:
         raise DataError("not a weight file: bad magic")
-    version, width, height, channels, flags = r.unpack(_HEADER, "header")
+    version, channels, flags = r.unpack(_HEADER, "header")
     if version != _VERSION:
         raise DataError(f"unsupported weight file version {version}")
     if flags & ~3:
         raise DataError(f"unknown weight file flag bits {flags:#06x}")
     try:
         config = NetworkConfig(
-            width=width,
-            height=height,
             base_channels=channels,
             use_attention=bool(flags & 1),
             use_glrc=bool(flags & 2),

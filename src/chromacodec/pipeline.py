@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -117,15 +117,31 @@ def encode_sequence(frames, qp: int, gop: GopStructure, gen_store, net_config, f
             records.append(
                 FrameRecord(LUMA_ONLY, (codec.encode_plane(frame.y.samples, qp),))
             )
-    # weights are spatial-size agnostic: the stream's weight header carries the frame dims
-    blob = network.serialize_weights(gen_store, replace(net_config, width=w, height=h))
+    blob = network.serialize_weights(gen_store, net_config)
     video = CompressedVideo(w, h, qp, gop.gop_size, blob, tuple(records))
     return video, bitrate_report(video, fps)["kbps"]
 
 
+# NumPy bytes per pixel at the peak of one decode-time generator_forward, as
+# (fixed, per base channel) by use_attention: above every tracemalloc peak
+# measured at 64×64 and 176×144, base 8 and 64, two attention workers.
+_FORWARD_BYTES_PER_PIXEL = {False: (140, 32), True: (340, 58)}
+DECODE_MEMORY_BUDGET = 4 << 30  # bytes the colorizer may take for one frame
+
+
 def decode_sequence(video: CompressedVideo):
-    """Decompress to 4:4:4 frames, colorizing the luma-only ones."""
+    """Decompress to 4:4:4 frames, colorizing the luma-only ones. A stream
+    whose frames the colorizer would need more than DECODE_MEMORY_BUDGET
+    for is refused before any plane is decoded."""
     store, net_config = network.deserialize_weights(video.weight_blob)
+    if any(record.kind == LUMA_ONLY for record in video.records):
+        fixed, per_channel = _FORWARD_BYTES_PER_PIXEL[net_config.use_attention]
+        need = video.width * video.height * (fixed + per_channel * net_config.base_channels)
+        if need > DECODE_MEMORY_BUDGET:
+            raise DataError(
+                f"colorizing {video.width}x{video.height} frames needs {need:,} bytes, "
+                f"over the decoder's budget of {DECODE_MEMORY_BUDGET:,}"
+            )
     dims = (video.width, video.height)
     cdims = chroma_dims(video.width, video.height, SubsamplingMode.S420)
     frames = []

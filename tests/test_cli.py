@@ -7,12 +7,13 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chromacodec import cli, metrics, network, pipeline
+from chromacodec import cli, codec, metrics, network, pipeline
 from chromacodec import colorspace as cs
 
 import rd_reference as ref
@@ -214,7 +215,7 @@ class TestErrorPaths:
     def test_too_few_channels_in_weight_header_is_data_error(self, raw_input, tmp_path, capsys):
         weights = self._trained_weights(raw_input, tmp_path)
         blob = bytearray(weights.read_bytes())
-        blob[14:18] = struct.pack("<I", 4)  # after magic, version, width, height
+        blob[6:10] = struct.pack("<I", 4)  # after magic and version
         weights.write_bytes(bytes(blob))
         assert self._encode(raw_input, tmp_path, weights) == 3
         err = capsys.readouterr().err
@@ -223,7 +224,7 @@ class TestErrorPaths:
     def test_unknown_weight_flag_bits_are_data_error(self, raw_input, tmp_path, capsys):
         weights = self._trained_weights(raw_input, tmp_path)
         blob = bytearray(weights.read_bytes())
-        blob[18:20] = b"\xff\xff"  # the flag word, after magic and the first four fields
+        blob[10:12] = b"\xff\xff"  # the flag word, after magic, version and channels
         weights.write_bytes(bytes(blob))
         assert self._encode(raw_input, tmp_path, weights) == 3
         err = capsys.readouterr().err
@@ -235,6 +236,24 @@ class TestErrorPaths:
         weights.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
         assert self._encode(raw_input, tmp_path, weights) == 3
         assert "unsupported weight file version 1" in capsys.readouterr().err
+
+    def test_version_2_weight_file_is_data_error(self, raw_input, tmp_path, capsys):
+        # version 2: a 16-byte header with frame dims, and the keys' biases among the values
+        weights = self._trained_weights(raw_input, tmp_path)
+        v3 = weights.read_bytes()
+        v2 = b"CGWT" + struct.pack("<HIIIH", 2, 16, 16, 8, 3) + v3[12:] + bytes(8 * 6)
+        weights.write_bytes(v2)
+        assert self._encode(raw_input, tmp_path, weights) == 3
+        assert "unsupported weight file version 2" in capsys.readouterr().err
+        # and a stream that embeds one: the container is unchanged, only its blob is old
+        weights.write_bytes(v3)
+        assert self._encode(raw_input, tmp_path, weights) == 0
+        stream = tmp_path / "s.cgv"
+        video = pipeline.deserialize_video(stream.read_bytes())
+        stream.write_bytes(pipeline.serialize_video(replace(video, weight_blob=v2)))
+        assert run(["decode", "--input", stream, "--out", tmp_path / "d.yuv"]) == 3
+        err = capsys.readouterr().err
+        assert "unsupported weight file version 2" in err and "Traceback" not in err
 
     def test_nonfinite_stored_weight_is_data_error(self, raw_input, tmp_path, capsys):
         weights = self._trained_weights(raw_input, tmp_path)
@@ -276,9 +295,11 @@ class TestErrorPaths:
 
     def test_huge_declared_frame_dims_are_data_error(self, raw_input, tmp_path):
         # 65535×65535 would need 32 GiB of coefficients for the first plane;
-        # under the address-space cap such an allocation would be a traceback
+        # under the address-space cap such an allocation would be a traceback.
+        # GOP 1: with no frame to colorize, decode's frame budget does not apply
         weights = self._trained_weights(raw_input, tmp_path)
-        assert self._encode(raw_input, tmp_path, weights) == 0
+        assert run(["encode", "--input", raw_input, "--width", 16, "--height", 16, "--gop", 1,
+                    "--weights", weights, "--out", tmp_path / "s.cgv"]) == 0
         stream = tmp_path / "s.cgv"
         blob = bytearray(stream.read_bytes())
         blob[6:10] = struct.pack("<HH", 65535, 65535)  # width, height after magic, version
@@ -296,6 +317,45 @@ class TestErrorPaths:
         )
         assert proc.returncode == 3, proc.stderr
         assert "cannot hold" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_frames_over_the_decode_budget_are_data_error(self, tmp_path):
+        # 8 rows more than the budget admits at 4096 wide; every plane holds
+        # valid empty blocks, so only the budget check stands between the
+        # decoder and a 4 GiB colorizer, which the address-space cap would stop
+        fixed, per_channel = pipeline._FORWARD_BYTES_PER_PIXEL[False]
+        bpp = fixed + per_channel * 8
+        w = 4096
+        h = 8 * (pipeline.DECODE_MEMORY_BUDGET // (bpp * w * 8) + 1)
+        assert w * (h - 8) * bpp <= pipeline.DECODE_MEMORY_BUDGET < w * h * bpp
+
+        def empty_plane(pw, ph):
+            blocks = -(-pw // 8) * -(-ph // 8)
+            bits = np.tile(codec._codeword_bits(np.zeros((1, 64), dtype=np.int64)), blocks)
+            return codec.PlanePayload(np.packbits(bits).tobytes(), len(bits))
+
+        cfg = network.NetworkConfig(use_attention=False)
+        y, c = empty_plane(w, h), empty_plane(w // 2, h // 2)
+        video = pipeline.CompressedVideo(
+            w, h, 32, 6, network.serialize_weights(network.init_generator(cfg, 0), cfg),
+            (pipeline.FrameRecord(pipeline.ANCHOR, (y, c, c)),
+             pipeline.FrameRecord(pipeline.LUMA_ONLY, (y,))),
+        )
+        stream = tmp_path / "s.cgv"
+        stream.write_bytes(pipeline.serialize_video(video))
+        code = textwrap.dedent(f"""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from chromacodec import cli
+            sys.exit(cli.main(["decode", "--input", {str(stream)!r},
+                               "--out", {str(tmp_path / "d.yuv")!r}]))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert f"colorizing {w}x{h} frames" in proc.stderr and "budget" in proc.stderr
+        assert "Traceback" not in proc.stderr and not (tmp_path / "d.yuv").exists()
 
     def test_frames_too_large_to_colorize_are_data_error(
         self, raw_input, tmp_path, capsys, monkeypatch
@@ -342,6 +402,21 @@ class TestErrorPaths:
 
 
 class TestPipelineCommands:
+    def test_stream_carries_the_weight_file_byte_for_byte(self, raw_input, tmp_path):
+        # trained at 16×16, used at 32×24: the weight file holds no frame dims
+        weights, stream, wide = tmp_path / "w.cgwt", tmp_path / "s.cgv", tmp_path / "wide.yuv"
+        assert run(["train", "--input", raw_input, "--width", 16, "--height", 16,
+                    "--steps", 1, "--out", weights]) == 0
+        rgb = np.full((24, 32, 3), 120, dtype=np.uint8)
+        rgb[4:12, 6:20] = (255, 32, 32)
+        wide.write_bytes(cs.frames_to_bytes([cs.rgb_to_ycbcr(rgb)] * 3))
+        assert run(["encode", "--input", wide, "--width", 32, "--height", 24,
+                    "--weights", weights, "--out", stream]) == 0
+        video = pipeline.deserialize_video(stream.read_bytes())
+        assert (video.width, video.height) == (32, 24)
+        assert video.weight_blob == weights.read_bytes()
+        assert run(["decode", "--input", stream, "--out", tmp_path / "d.yuv"]) == 0
+
     def test_train_encode_decode_eval(self, raw_input, tmp_path, capsys):
         weights = tmp_path / "w.cgwt"
         loss_log = tmp_path / "loss.csv"

@@ -54,9 +54,11 @@ def unrolled_generator_forward(store, config, luma):
 
 
 class TestConfig:
-    def test_dims_must_divide_by_8(self):
-        with pytest.raises(ConfigError):
-            net.NetworkConfig(width=20, height=16)
+    def test_frame_dims_are_neither_checked_nor_compared(self):
+        # the weights fit any frame size: the frame check is pipeline._frame_dims
+        assert net.NetworkConfig(20, 20) == net.NetworkConfig(16, 24) == net.NetworkConfig()
+        assert hash(net.NetworkConfig(20, 20)) == hash(net.NetworkConfig())
+        assert net.NetworkConfig(20, 20) != net.NetworkConfig(20, 20, base_channels=12)
 
     def test_min_channels(self):
         for channels in (3, 5):  # 6 is the narrowest multires split
@@ -159,7 +161,7 @@ class TestSelfAttention:
         rng = np.random.default_rng(6)
         x = T.Tensor(rng.standard_normal((1, 8, 4, 4)))
         f = T.reshape(T.conv2d(x, store["att1.f.w"], store["att1.f.b"]), (1, -1, 16))
-        g = T.reshape(T.conv2d(x, store["att1.g.w"], store["att1.g.b"]), (1, -1, 16))
+        g = T.reshape(T.conv2d(x, store["att1.g.w"], T.Tensor(np.zeros(1))), (1, -1, 16))
         attn = T.softmax(T.matmul(T.transpose_last2(f), g))
         assert np.max(np.abs(attn.data.sum(axis=-1) - 1.0)) < 1e-9
 
@@ -167,6 +169,21 @@ class TestSelfAttention:
         cfg = small_config(base_channels=12)
         store = net.init_generator(cfg, seed=10)
         assert store["att1.f.w"].shape == (2, 12, 1, 1)  # ceil(12/8) = 2
+
+    def test_keys_carry_no_bias(self):
+        # a per-channel constant on the keys shifts each query's scores by a
+        # constant along the softmax's key axis, so the output cannot move
+        rng = np.random.default_rng(17)
+        for k in (1, 2):  # one key channel takes attention's sorted-query path
+            f, g = (T.Tensor(rng.standard_normal((1, k, 64))) for _ in "fg")
+            h = T.Tensor(rng.standard_normal((1, 8, 64)))
+            c = T.Tensor(np.repeat(rng.normal(0.0, 3.0, (1, k, 1)), 64, axis=2))
+            shifted = T.attention(f, g + c, h).data
+            assert np.max(np.abs(shifted - T.attention(f, g, h).data)) <= 1e-14
+        store = net.init_generator(small_config(), seed=10)
+        assert [n for n in store if n.startswith("att1.")] == [
+            "att1.f.w", "att1.f.b", "att1.g.w", "att1.h.w", "att1.h.b", "att1.gain"
+        ]
 
     def test_gradient_including_gain(self):
         cfg = small_config()
@@ -383,9 +400,20 @@ class TestWeightIO:
         store = net.init_generator(cfg, seed=31)
         blob = net.serialize_weights(store, cfg)
         params = sum(t.size for t in store.values())
-        assert len(blob) == 4 + struct.calcsize("<HIIIH") + 8 * params
+        assert blob[:12] == b"CGWT" + struct.pack("<HIH", 3, 8, 3)  # no frame dims
+        assert len(blob) == 4 + struct.calcsize("<HIH") + 8 * params
         values = np.concatenate([t.data.ravel() for t in store.values()])
-        assert blob[20:] == values.astype("<f8").tobytes()
+        assert blob[12:] == values.astype("<f8").tobytes()
+
+    def test_33451_values_at_base_8(self):
+        store = net.init_generator(net.NetworkConfig(base_channels=8), seed=0)
+        assert sum(t.size for t in store.values()) == 33_451  # 33,457 with the key biases
+
+    def test_blob_does_not_depend_on_frame_dims(self):
+        store = net.init_generator(small_config(), seed=36)
+        blobs = {net.serialize_weights(store, net.NetworkConfig(w, h)) for w, h in
+                 [(16, 16), (176, 144), (20, 20), (None, None)]}
+        assert len(blobs) == 1
 
     def test_forward_identical_after_reload(self):
         cfg = small_config()
@@ -425,17 +453,21 @@ class TestWeightIO:
                 net.deserialize_weights(blob[:n])
 
     def test_bad_header_geometry_is_data_error(self):
+        # a valid header whose network has fewer or more values than the file
         cfg = small_config()
         blob = net.serialize_weights(net.init_generator(cfg, seed=29), cfg)
-        width_at = 4 + 2  # magic, version
-        with pytest.raises(DataError):
-            net.deserialize_weights(blob[:width_at] + struct.pack("<I", 20) + blob[width_at + 4 :])
+        channels_at = 4 + 2  # magic, version
+        for channels, problem in ((6, "trailing bytes"), (12, "truncated")):
+            with pytest.raises(DataError, match=problem):
+                net.deserialize_weights(
+                    blob[:channels_at] + struct.pack("<I", channels) + blob[channels_at + 4 :]
+                )
 
     @pytest.mark.parametrize("channels", [4, 5])
     def test_too_few_header_channels_is_data_error(self, channels):
         cfg = small_config()
         blob = net.serialize_weights(net.init_generator(cfg, seed=33), cfg)
-        channels_at = 4 + struct.calcsize("<HII")  # magic, version, width, height
+        channels_at = 4 + 2  # magic, version
         with pytest.raises(DataError, match="base_channels"):
             net.deserialize_weights(
                 blob[:channels_at] + struct.pack("<I", channels) + blob[channels_at + 4 :]
@@ -444,7 +476,7 @@ class TestWeightIO:
     def test_unknown_flag_bits_are_data_error(self):
         cfg = small_config(use_attention=True, use_glrc=True)
         blob = net.serialize_weights(net.init_generator(cfg, seed=35), cfg)
-        flags_at = 4 + struct.calcsize("<HIII")  # magic, version, width, height, channels
+        flags_at = 4 + struct.calcsize("<HI")  # magic, version, channels
         assert blob[flags_at : flags_at + 2] == struct.pack("<H", 3)
         with pytest.raises(DataError, match="flag bits 0xffff"):
             net.deserialize_weights(blob[:flags_at] + b"\xff\xff" + blob[flags_at + 2 :])
@@ -456,7 +488,7 @@ class TestWeightIO:
             import resource, struct
             resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
             from chromacodec import DataError, network
-            blob = b"CGWT" + struct.pack("<HIIIH", 2, 8, 8, 64, 3)
+            blob = b"CGWT" + struct.pack("<HIH", 3, 64, 3)
             try:
                 network.deserialize_weights(blob)
             except DataError as exc:
@@ -471,7 +503,7 @@ class TestWeightIO:
 
     def test_oversized_declared_network_is_header_error(self):
         # 100,000 base channels would need 37 GiB of weights: the header is refused
-        blob = b"CGWT" + struct.pack("<HIIIH", 2, 8, 8, 100_000, 3)
+        blob = b"CGWT" + struct.pack("<HIH", 3, 100_000, 3)
         with pytest.raises(DataError, match="bad weight file header: base_channels"):
             net.deserialize_weights(blob)
 
@@ -490,7 +522,7 @@ class TestWeightIO:
     def test_attention_flag_must_match_entries(self):
         cfg = small_config(use_attention=False)
         blob = net.serialize_weights(net.init_generator(cfg, seed=30), cfg)
-        flags_at = 4 + struct.calcsize("<HIII")  # magic, version, width, height, channels
+        flags_at = 4 + struct.calcsize("<HI")  # magic, version, channels
         with pytest.raises(DataError):
             net.deserialize_weights(blob[:flags_at] + struct.pack("<H", 3) + blob[flags_at + 2 :])
 

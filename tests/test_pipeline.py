@@ -108,13 +108,12 @@ class TestEncode:
         total_bits = len(pipeline.serialize_video(video)) * 8
         assert abs(kbps - total_bits * 30.0 / (1000.0 * 6)) < 1e-12
 
-    def test_weight_header_carries_frame_dims(self):
-        # weights fit any frame size, so a config built for other dims is rebound
+    def test_stream_embeds_the_weight_file_as_given(self):
+        # weights fit any frame size: a config built for other dims is not rebound
         frames = make_sequence(2)
         store, cfg = tiny_net(w=32, h=24)
         video, _ = pipeline.encode_sequence(frames, 32, pipeline.split_gops(2, 6), store, cfg)
-        _, embedded = network.deserialize_weights(video.weight_blob)
-        assert embedded == replace(cfg, width=16, height=16)
+        assert video.weight_blob == network.serialize_weights(store, cfg)
 
 
 class TestContainer:
@@ -277,6 +276,32 @@ class TestMalformedContainers:
 
 
 class TestDecode:
+    @pytest.mark.parametrize("attention", [False, True], ids=["no_att", "att"])
+    @pytest.mark.parametrize("channels", [8, 64])
+    def test_memory_budget_applies_only_to_colorized_frames(self, attention, channels):
+        # planes with no bits: decode_plane refuses them before it allocates
+        cfg = network.NetworkConfig(base_channels=channels, use_attention=attention)
+        blob = network.serialize_weights(network.init_generator(cfg, 0), cfg)
+        fixed, per_channel = pipeline._FORWARD_BYTES_PER_PIXEL[attention]
+        w = 1024
+        h = 8 * (pipeline.DECODE_MEMORY_BUDGET // ((fixed + per_channel * channels) * w * 8) + 1)
+        empty = codec.PlanePayload(b"", 0)
+
+        def video(height, gop_size):
+            gop = pipeline.split_gops(2, gop_size)
+            records = tuple(
+                pipeline.FrameRecord(pipeline.ANCHOR, (empty,) * 3) if gop.is_anchor(i)
+                else pipeline.FrameRecord(pipeline.LUMA_ONLY, (empty,))
+                for i in range(2)
+            )
+            return pipeline.CompressedVideo(w, height, 32, gop_size, blob, records)
+
+        with pytest.raises(DataError, match=f"colorizing {w}x{h} frames .* budget"):
+            pipeline.decode_sequence(video(h, 6))
+        for height, gop_size in ((h - 8, 6), (h, 1)):  # under the budget; nothing to colorize
+            with pytest.raises(DataError, match="frame 0: 0 bits cannot hold"):
+                pipeline.decode_sequence(video(height, gop_size))
+
     def test_anchor_path_equals_standalone_codec(self):
         frames = make_sequence(1, seed=10)
         store, cfg = tiny_net(seed=10)
