@@ -106,14 +106,13 @@ def cmd_train(args) -> int:
         steps=args.steps, seed=args.seed, weights=losses.LossWeights(*args.loss_weights)
     )
     frames = _load_frames(args.input, args, args.mode)
-    pipeline._frame_dims(frames)  # exit 3 on frames that encode would refuse
+    gop = pipeline.split_gops(len(frames), args.gop)
+    pairs = trainer.build_training_set(frames, gop, args.qp)  # encode's frame check: exit 3
     net_config = network.NetworkConfig(
         base_channels=args.channels,
         use_attention=not args.no_attention,
         use_glrc=not args.no_glrc,
     )
-    gop = pipeline.split_gops(len(frames), args.gop)
-    pairs = trainer.build_training_set(frames, gop, args.qp)
     gen = network.init_generator(net_config, args.seed)
     disc = network.init_discriminator(net_config, args.seed)
     history = trainer.train(gen, disc, net_config, pairs, train_config)

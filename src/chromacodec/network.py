@@ -38,7 +38,7 @@ import numpy as np
 from . import tensor as T
 from .binio import Reader
 from .colorspace import round_clamp_u8
-from .errors import ConfigError, DataError, DimensionError, NumericError
+from .errors import ConfigError, DataError, NumericError
 
 ATTN_KEY_DIVISOR = 8  # f and g project channels down to ceil(C/8)
 
@@ -206,13 +206,9 @@ def _skip(store, config, level, x):
 
 
 def generator_forward(store: dict[str, T.Tensor], config: NetworkConfig, luma: T.Tensor) -> T.Tensor:
-    """Map 1×1×H×W luma in [-1, 1] to 1×2×H×W chroma in [-1, 1]."""
-    if luma.data.ndim != 4 or luma.shape[1] != 1:
-        raise DimensionError(f"generator input must be N×1×H×W, got {luma.shape}")
-    h, w = luma.shape[2], luma.shape[3]
-    if h % 8 or w % 8:
-        raise DimensionError(f"input dims must be divisible by 8, got {h}×{w}")
-
+    """Map N×1×H×W luma in [-1, 1] to N×2×H×W chroma in [-1, 1]. H and W must
+    be multiples of 8 for the three pools: `pipeline._frame_dims` and
+    `decode_sequence` check frames first, `maxpool2` any other input."""
     # one op per statement, so each activation goes once its last reader has run
     x, skips = luma, []
     for level in range(1, 5):
@@ -250,8 +246,6 @@ def generator_level_shapes(config: NetworkConfig):
 
 def discriminator_forward(store: dict[str, T.Tensor], image: T.Tensor) -> T.Tensor:
     """Map N×3×H×W to an N×1×H/8×W/8 patch map in (0, 1)."""
-    if image.data.ndim != 4 or image.shape[1] != 3:
-        raise DimensionError(f"discriminator input must be N×3×H×W, got {image.shape}")
     x = T.leaky_relu(_conv(store, "c1", image, 2, 1))
     x = T.leaky_relu(_conv(store, "c2", x, 2, 1))
     x = T.leaky_relu(_conv(store, "c3", x, 2, 1))

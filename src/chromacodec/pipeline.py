@@ -81,14 +81,24 @@ class CompressedVideo:
         return len(self.records)
 
 
-def _frame_dims(frames):
-    """(width, height) of a sequence the colorizer can code: every frame
-    has frame 0's dims, and both are multiples of 8. `encode_sequence` and
-    the CLI's `train` share this one check."""
-    w, h = frames[0].y.width, frames[0].y.height
+def _check_dims(w, h):
+    """Frame dims the generator's three pools and the 16-bit header can hold."""
     if w % 8 or h % 8:
         raise DimensionError(f"frame dims must be divisible by 8, got {w}×{h}")
+    if max(w, h) > 0xFFFF:
+        raise DimensionError(f"frame dims must be at most 65535, got {w}×{h}")
+
+
+def _frame_dims(frames, gop: GopStructure):
+    """(width, height) of a sequence that `encode_sequence` and `trainer.build_training_set`
+    take: `gop` covers every frame, each 4:4:4 with frame 0's dims, which pass `_check_dims`."""
+    if len(frames) != gop.frame_count:
+        raise DimensionError(f"gop structure covers {gop.frame_count} frames, got {len(frames)}")
+    w, h = frames[0].y.width, frames[0].y.height
+    _check_dims(w, h)
     for i, frame in enumerate(frames):
+        if frame.mode is not SubsamplingMode.S444:
+            raise ConfigError(f"frame {i} is {frame.mode.value}, expected 4:4:4")
         if (frame.y.width, frame.y.height) != (w, h):
             raise DimensionError(f"frame {i} dims differ from frame 0")
     return w, h
@@ -98,15 +108,9 @@ def encode_sequence(frames, qp: int, gop: GopStructure, gen_store, net_config, f
     """Compress 4:4:4 frames; returns (CompressedVideo, kbps at the given fps)."""
     if not 0 < fps < math.inf:
         raise ConfigError(f"fps must be positive and finite, got {fps}")
-    if len(frames) != gop.frame_count:
-        raise DimensionError(
-            f"gop structure covers {gop.frame_count} frames, got {len(frames)}"
-        )
-    w, h = _frame_dims(frames)
+    w, h = _frame_dims(frames, gop)
     records = []
     for i, frame in enumerate(frames):
-        if frame.mode is not SubsamplingMode.S444:
-            raise ConfigError(f"frame {i} is {frame.mode.value}, expected 4:4:4")
         if gop.is_anchor(i):
             sub = subsample(frame)
             payloads = tuple(
@@ -130,11 +134,12 @@ DECODE_MEMORY_BUDGET = 4 << 30  # bytes the colorizer may take for one frame
 
 
 def decode_sequence(video: CompressedVideo):
-    """Decompress to 4:4:4 frames, colorizing the luma-only ones. A stream
-    whose frames the colorizer would need more than DECODE_MEMORY_BUDGET
-    for is refused before any plane is decoded."""
+    """Decompress to 4:4:4 frames, colorizing the luma-only ones. Before any
+    plane is decoded, a stream is refused if those frames fail `_check_dims`
+    or would need more than DECODE_MEMORY_BUDGET in the colorizer."""
     store, net_config = network.deserialize_weights(video.weight_blob)
     if any(record.kind == LUMA_ONLY for record in video.records):
+        _check_dims(video.width, video.height)
         fixed, per_channel = _FORWARD_BYTES_PER_PIXEL[net_config.use_attention]
         need = video.width * video.height * (fixed + per_channel * net_config.base_channels)
         if need > DECODE_MEMORY_BUDGET:

@@ -564,7 +564,7 @@ def attention(f: Tensor, g: Tensor, h: Tensor) -> Tensor:
     plans = [_attn_blocks(fd[b], gd[b], step) for b in range(n)]  # per item: query order, blocks
     # One worker per block of a k > 1 split at most, so that a call whose
     # queries fit in one block runs inline even when k = 1 splits it by sign
-    workers = min(_WORKERS, ATTN_MAX_WORKERS, -(-hw // step))
+    workers = min(_WORKERS, -(-hw // step))
     bufs = np.empty((workers, step, hw))  # e per worker; backward takes its own, the graph none
     out = np.empty(hd.shape)
     for b, (order, blocks) in enumerate(plans):

@@ -6,10 +6,8 @@ the decoder-side generator will see, while the chroma target is
 pristine. Each step optionally updates the discriminator, then updates
 the generator on the weighted mixed objective. Everything is seeded, so a
 (config, pairs, seed) triple always reproduces bit-identical weights on one
-host and BLAS setting. Attention's query blocks fall into two fixed
-shares, run on two threads when BLAS is pinned to one thread and on one
-otherwise. Backward sums each share on its own and adds the two sums
-once, so the thread count cannot change a bit (see `tensor.attention`).
+host and BLAS setting; `tensor.attention` says why its thread count
+changes no bit.
 """
 
 from __future__ import annotations
@@ -20,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import codec, losses, network
+from . import codec, losses, network, pipeline
 from . import tensor as T
-from .colorspace import Frame, SubsamplingMode
 from .errors import ConfigError, NumericError
 
 
@@ -76,13 +73,12 @@ def adam_step(tensors, state: AdamState) -> None:
 
 
 def build_training_set(frames, gop, qp: int):
-    """Anchor-frame pairs: codec-decoded luma inputs, pristine chroma targets."""
+    """Anchor-frame pairs: codec-decoded luma inputs, pristine chroma
+    targets, from a sequence that `pipeline._frame_dims` accepts."""
+    w, h = pipeline._frame_dims(frames, gop)
     pairs = []
     for idx in gop.anchors:
-        frame: Frame = frames[idx]
-        if frame.mode is not SubsamplingMode.S444:
-            raise ConfigError("training frames must be 4:4:4")
-        w, h = frame.y.width, frame.y.height
+        frame = frames[idx]
         decoded = codec.decode_plane(codec.encode_plane(frame.y.samples, qp), (w, h), qp)
         luma = network.luma_to_unit(decoded)[None, None]
         chroma = np.stack(

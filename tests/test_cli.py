@@ -212,6 +212,19 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    # the stream header holds each dim in 16 bits; 65536 is a multiple of 8
+    @pytest.mark.parametrize("command", ["train", "encode"])
+    def test_frames_wider_than_the_header_holds_are_data_error(
+        self, raw_input, tmp_path, capsys, command
+    ):
+        weights = self._trained_weights(raw_input, tmp_path)
+        ppm = tmp_path / "wide.ppm"
+        ppm.write_bytes(cs.rgb_to_ppm(np.full((8, 65536, 3), 120, dtype=np.uint8)))
+        extra = {"train": ["--steps", 0], "encode": ["--weights", weights]}[command]
+        assert run([command, "--input", ppm, *extra, "--out", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert "65536×8" in err and "Traceback" not in err
+
     def test_too_few_channels_in_weight_header_is_data_error(self, raw_input, tmp_path, capsys):
         weights = self._trained_weights(raw_input, tmp_path)
         blob = bytearray(weights.read_bytes())
@@ -356,6 +369,20 @@ class TestErrorPaths:
         assert proc.returncode == 3, proc.stderr
         assert f"colorizing {w}x{h} frames" in proc.stderr and "budget" in proc.stderr
         assert "Traceback" not in proc.stderr and not (tmp_path / "d.yuv").exists()
+
+    def test_header_dims_the_colorizer_cannot_code_are_data_error(
+        self, raw_input, tmp_path, capsys
+    ):
+        # refused from the header, before frame 0's luma plane is decoded
+        weights = self._trained_weights(raw_input, tmp_path)
+        assert self._encode(raw_input, tmp_path, weights) == 0
+        stream = tmp_path / "s.cgv"
+        blob = bytearray(stream.read_bytes())
+        blob[8:10] = struct.pack("<H", 20)  # height, after magic, version and width
+        stream.write_bytes(bytes(blob))
+        assert run(["decode", "--input", stream, "--out", tmp_path / "d.yuv"]) == 3
+        err = capsys.readouterr().err
+        assert "frame dims must be divisible by 8, got 16×20" in err and "Traceback" not in err
 
     def test_frames_too_large_to_colorize_are_data_error(
         self, raw_input, tmp_path, capsys, monkeypatch

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromacodec import ChromaCodecError, ConfigError, DataError, NumericError
+from chromacodec import ChromaCodecError, ConfigError, DataError, DimensionError, NumericError
 from chromacodec import codec
 from chromacodec import colorspace as cs
 from chromacodec import network, pipeline
@@ -301,6 +301,22 @@ class TestDecode:
         for height, gop_size in ((h - 8, 6), (h, 1)):  # under the budget; nothing to colorize
             with pytest.raises(DataError, match="frame 0: 0 bits cannot hold"):
                 pipeline.decode_sequence(video(height, gop_size))
+
+    def test_uncodable_dims_are_refused_before_any_plane(self):
+        # planes with no bits, as above: decoding any of them would fail
+        store, cfg = tiny_net()
+        blob = network.serialize_weights(store, cfg)
+        empty = codec.PlanePayload(b"", 0)
+
+        def video(gop_size):
+            anchor = pipeline.FrameRecord(pipeline.ANCHOR, (empty,) * 3)
+            second = pipeline.FrameRecord(pipeline.LUMA_ONLY, (empty,)) if gop_size > 1 else anchor
+            return pipeline.CompressedVideo(20, 16, 32, gop_size, blob, (anchor, second))
+
+        with pytest.raises(DimensionError, match="frame dims must be divisible by 8, got 20×16"):
+            pipeline.decode_sequence(video(6))
+        with pytest.raises(DataError, match="frame 0: 0 bits cannot hold"):
+            pipeline.decode_sequence(video(1))  # only anchors: nothing to colorize
 
     def test_anchor_path_equals_standalone_codec(self):
         frames = make_sequence(1, seed=10)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chromacodec import ConfigError, NumericError
+from chromacodec import ConfigError, DimensionError, NumericError
 from chromacodec import colorspace as cs
 from chromacodec import losses, network, pipeline, trainer
 from chromacodec import tensor as T
@@ -75,6 +75,15 @@ class TestBuildTrainingSet:
         frames = make_sequence(13)
         pairs = trainer.build_training_set(frames, pipeline.split_gops(13, 6), qp=32)
         assert len(pairs) == 3
+
+    def test_gop_must_cover_every_frame(self):
+        with pytest.raises(DimensionError, match="covers 12 frames, got 1"):
+            trainer.build_training_set(make_sequence(1), pipeline.split_gops(12, 6), qp=32)
+
+    def test_420_frame_is_config_error(self):
+        frames = [cs.subsample(make_sequence(1)[0])]
+        with pytest.raises(ConfigError, match="expected 4:4:4"):
+            trainer.build_training_set(frames, pipeline.split_gops(1, 6), qp=32)
 
     def test_input_is_lossy(self):
         frames = make_sequence(1, seed=3)
