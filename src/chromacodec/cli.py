@@ -101,7 +101,7 @@ def _emit_json(report: dict, out) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     train_config = trainer.TrainConfig(
         steps=args.steps, seed=args.seed, weights=losses.LossWeights(*args.loss_weights)
     )
@@ -121,10 +121,9 @@ def cmd_train(args) -> int:
         Path(args.loss_log).write_text(trainer.history_to_csv(history), encoding="utf-8")
     final = history[-1].total if history else float("nan")
     print(f"trained {args.steps} steps on {len(pairs)} anchor pairs, final loss {final:.6g}")
-    return EXIT_OK
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> None:
     frames = _load_frames(args.input, args, args.mode)
     gen, net_config = network.deserialize_weights(Path(args.weights).read_bytes())
     gop = pipeline.split_gops(len(frames), args.gop)
@@ -132,26 +131,18 @@ def cmd_encode(args) -> int:
     Path(args.out).write_bytes(pipeline.serialize_video(video))
     print(f"encoded {len(frames)} frames at {kbps:.3f} kbps")
     print(metrics.report_to_json(pipeline.bitrate_report(video, args.fps)))
-    return EXIT_OK
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> None:
     video = pipeline.deserialize_video(Path(args.input).read_bytes())
     if Path(args.out).suffix.lower() == ".ppm" and video.frame_count != 1:
         raise ConfigError(f"cannot write {video.frame_count} frames to a single .ppm")
-    try:
-        frames = pipeline.decode_sequence(video)
-    except MemoryError:
-        # the colorizer's activations grow with the declared frame size
-        raise DataError(
-            f"not enough memory to decode the stream's {video.width}x{video.height} frames"
-        ) from None
+    frames = pipeline.decode_sequence(video)
     _write_frames(args.out, frames)
     print(f"decoded {len(frames)} frames of {video.width}x{video.height}")
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     ref = _load_frames(args.ref, args, args.mode)
     test = _load_frames(args.test, args, "4:4:4")  # the only layout `decode` writes
     if len(ref) != len(test):
@@ -172,14 +163,12 @@ def cmd_eval(args) -> int:
         key: sum(r[key] for r in rows) / len(rows) for key in rows[0]
     }
     _emit_json({"frame_count": len(rows), "frames": rows, "average": average}, args.out)
-    return EXIT_OK
 
 
-def cmd_rd_report(args) -> int:
+def cmd_rd_report(args) -> None:
     anchor = metrics.curve_from_csv(Path(args.anchor).read_bytes())
     proposed = metrics.curve_from_csv(Path(args.proposed).read_bytes())
     _emit_json(metrics.comparison_report(anchor, proposed), args.out)
-    return EXIT_OK
 
 
 _DISPATCH = {
@@ -256,16 +245,20 @@ def main(argv=None) -> int:
     try:
         _apply_overrides(args)
         print("config: " + json.dumps(vars(args), sort_keys=True), file=sys.stderr)
-        return _DISPATCH[args.command](args)
+        _DISPATCH[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # NumPy's text, when there is one, names the array
+        print("error: not enough memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_DATA
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

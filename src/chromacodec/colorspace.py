@@ -26,17 +26,18 @@ def round_clamp_u8(x):
 
 
 class SubsamplingMode(enum.Enum):
-    """Chroma sampling layouts, named by the usual J:a:b notation."""
+    """Chroma sampling layouts, valued by the usual J:a:b notation."""
 
-    S444 = "444"
-    S420 = "420"
-    S400 = "400"
+    S444 = "4:4:4"
+    S420 = "4:2:0"
+    S400 = "4:0:0"
 
     @classmethod
     def parse(cls, text) -> "SubsamplingMode":
+        """The mode spelled `text`, with or without the colons."""
         key = str(text).replace(":", "")
         for mode in cls:
-            if mode.value == key:
+            if mode.value.replace(":", "") == key:
                 return mode
         raise ConfigError(f"unknown subsampling mode {text!r}")
 

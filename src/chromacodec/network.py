@@ -62,6 +62,10 @@ class NetworkConfig:
 
 
 def _rng_for(seed: int, name: str) -> np.random.Generator:
+    """The stream every seeded tensor of the generator, discriminator and
+    `losses.FeatureExtractor` draws from."""
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     return np.random.default_rng(
         np.random.SeedSequence((seed, zlib.crc32(name.encode("utf-8"))))
     )

@@ -168,6 +168,10 @@ def decode_sequence(video: CompressedVideo):
             frames.append(Frame(Plane(y), Plane(cb), Plane(cr), SubsamplingMode.S444))
         except DataError as exc:
             raise DataError(f"frame {i}: {exc}") from exc
+        except MemoryError:  # the colorizer's activations grow with the frame size
+            raise DataError(
+                f"frame {i}: not enough memory for {video.width}x{video.height} frames"
+            ) from None
     return frames
 
 

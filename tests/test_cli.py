@@ -399,6 +399,69 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "16x16" in err and "Traceback" not in err
 
+    def test_out_of_memory_in_train_is_data_error(self, tmp_path):
+        # one 2048×2048 frame: its first full-size convolution output alone is
+        # 256 MiB, so training runs out under the 1 GiB address-space cap
+        raw = tmp_path / "big.yuv"
+        raw.write_bytes(bytes(cs.mode_volume(2048, 2048, cs.SubsamplingMode.S420)))
+        weights = tmp_path / "w.cgwt"
+        code = textwrap.dedent(f"""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from chromacodec import cli
+            sys.exit(cli.main(["train", "--input", {str(raw)!r}, "--width", "2048",
+                               "--height", "2048", "--mode", "4:2:0", "--steps", "1",
+                               "--no-attention", "--out", {str(weights)!r}]))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "error: not enough memory" in proc.stderr and "Traceback" not in proc.stderr
+        assert not weights.exists()
+
+    # main keeps NumPy's text, which names the array's shape, when there is one
+    @pytest.mark.parametrize("command", ["encode", "eval"])
+    @pytest.mark.parametrize("text", ["", "Unable to allocate 8.00 TiB"], ids=["bare", "numpy"])
+    def test_out_of_memory_is_data_error(
+        self, raw_input, tmp_path, capsys, monkeypatch, command, text
+    ):
+        weights = self._trained_weights(raw_input, tmp_path)
+
+        def out_of_memory(*args):
+            raise MemoryError(text) if text else MemoryError
+
+        monkeypatch.setattr(cli, "_load_frames", out_of_memory)
+        flags = {
+            "encode": ["--input", raw_input, "--weights", weights, "--out", tmp_path / "s.cgv"],
+            "eval": ["--ref", raw_input, "--test", raw_input],
+        }[command]
+        assert run([command, *flags, "--width", 16, "--height", 16]) == 3
+        err = capsys.readouterr().err
+        assert err.endswith("error: not enough memory" + (f": {text}" if text else "") + "\n")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags,env_seed",
+        [(["--seed", -1], None), (["--seed=-1"], None), ([], "-5")],
+        ids=["flag", "flag_equals", "env"],
+    )
+    def test_negative_seed_is_usage_error(
+        self, raw_input, tmp_path, capsys, monkeypatch, flags, env_seed
+    ):
+        if env_seed is None:
+            monkeypatch.delenv("CHROMACODEC_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CHROMACODEC_SEED", env_seed)
+        weights = tmp_path / "w.cgwt"
+        assert run(["train", "--input", raw_input, "--width", 16, "--height", 16,
+                    "--steps", 0, *flags, "--out", weights]) == 2
+        err = capsys.readouterr().err
+        seed = env_seed or "-1"
+        assert f"seed must be nonnegative, got {seed}" in err and "Traceback" not in err
+        assert not weights.exists()
+
     def test_mutated_stream_is_data_error(self, raw_input, tmp_path, capsys):
         weights = self._trained_weights(raw_input, tmp_path)
         assert self._encode(raw_input, tmp_path, weights) == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chromacodec import ChromaCodecError, ConfigError, DataError, DimensionError
 from chromacodec import colorspace as cs
+from chromacodec import metrics, pipeline
 
 
 def one_pixel(r, g, b):
@@ -82,6 +83,33 @@ class TestFrameInvariants:
         for text in ("411", "4:2:2"):
             with pytest.raises(ConfigError):
                 cs.SubsamplingMode.parse(text)
+
+
+class TestModeSpelling:
+    def test_value_is_j_a_b_and_parses_back(self):
+        assert [m.value for m in cs.SubsamplingMode] == ["4:4:4", "4:2:0", "4:0:0"]
+        for mode in cs.SubsamplingMode:
+            assert cs.SubsamplingMode.parse(mode.value) is mode
+            assert cs.SubsamplingMode.parse(mode.value.replace(":", "")) is mode
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (cs.ycbcr_to_rgb, "RGB conversion needs 4:4:4 input, got 4:2:0"),
+            (cs.subsample, "subsample needs 4:4:4 input, got 4:2:0"),
+            (lambda f: cs.upsample(cs.upsample(f)), "upsample needs 4:2:0 input, got 4:4:4"),
+            (lambda f: metrics.psnr_frame(cs.upsample(f), f), "frame modes differ: 4:4:4 vs 4:2:0"),
+            (lambda f: pipeline._frame_dims([f], pipeline.split_gops(1, 6)),
+             "frame 0 is 4:2:0, expected 4:4:4"),
+        ],
+        ids=["ycbcr_to_rgb", "subsample", "upsample", "psnr_frame", "frame_dims"],
+    )
+    def test_messages_spell_modes_as_j_a_b(self, call, message):
+        plane = np.full((8, 8), 90, dtype=np.uint8)
+        frame_420 = cs.subsample(make_frame(plane, plane, plane))
+        with pytest.raises(ConfigError) as exc:
+            call(frame_420)
+        assert str(exc.value) == message
 
 
 class TestSampling:

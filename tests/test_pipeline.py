@@ -374,6 +374,17 @@ class TestDecode:
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="frame 1: colorizer"):
             pipeline.decode_sequence(video)
 
+    def test_out_of_memory_names_the_frame_size(self, monkeypatch):
+        # the budget admits 16×16; a MemoryError past it still names the frame
+        video, _ = tiny_stream()
+
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(network, "generator_forward", out_of_memory)
+        with pytest.raises(DataError, match="frame 1: not enough memory for 16x16 frames"):
+            pipeline.decode_sequence(video)
+
     def test_overflowing_colorizer_warns_nothing(self):
         # the finiteness check reports the failure; numpy stays silent before it
         frames = make_sequence(2, seed=14)
