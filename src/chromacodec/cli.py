@@ -59,7 +59,7 @@ def _load_frames(path_str: str, args, mode: str):
     """
     path = Path(path_str)
     if path.is_dir():
-        files = sorted(path.glob("*.ppm"))
+        files = sorted(f for f in path.iterdir() if f.suffix.lower() == ".ppm")
         if not files:
             raise DataError(f"no .ppm files in directory {path}")
         return [cs.rgb_to_ycbcr(cs.ppm_to_rgb(f.read_bytes())) for f in files]

@@ -638,59 +638,57 @@ def _correlate_valid(x, taps):
     return np.lib.stride_tricks.sliding_window_view(rows, len(taps), axis=-2) @ taps
 
 
-def _im2col(x, k, stride, padding):
-    """x's k×k windows, the output rows per block of columns, and the block buffer.
+def _col_blocks(x, k, stride, padding):
+    """The output size (oh, ow) of x's k×k windows, then their columns one block
+    of output rows at a time: (span of the flat output, cols (n, C·k·k, rows·ow)).
 
-    The windows are a strided (n, C, k, k, oh, ow) view of the padded
-    input. A block of output rows unrolls into the buffer as columns
-    (Chellapilla et al. 2006; one block at a time as in Anderson et al.
-    2017), so a block holds at most about BLOCK_ENTRIES entries and stays
-    in L2 for the matrix product that reads it. For k = 1, stride 1 and no
-    padding the columns are a reshape of x itself: one block and no buffer.
+    Each block unrolls into one reused buffer (Chellapilla et al. 2006; one
+    block at a time as in Anderson et al. 2017), so it holds at most about
+    BLOCK_ENTRIES entries and stays in L2 for the matrix product that reads
+    it. A padded block is copied from a zero-bordered strip of only the input
+    rows it reads, so no padded copy of the whole input is made. For k = 1,
+    stride 1 and no padding the columns are x itself, reshaped: one block.
     """
     n, c, h, wdt = x.shape
     oh = (h + 2 * padding - k) // stride + 1
     ow = (wdt + 2 * padding - k) // stride + 1
     if oh < 1 or ow < 1:
-        raise DimensionError(
-            f"conv: kernel {k} does not fit input {h}×{wdt} with padding {padding}"
-        )
+        raise DimensionError(f"conv: kernel {k} does not fit input {h}×{wdt} with padding {padding}")
+    yield oh, ow
     if k == 1 and stride == 1 and not padding:
-        return x.reshape(n, c, 1, 1, h, wdt), oh, None
-    xp = _zero_pad(x, padding) if padding else np.ascontiguousarray(x)
-    s = xp.strides
-    # a view of xp's buffer, which checks the strides stay inside it;
-    # as_strided makes the same view about 6 µs slower
-    win = np.ndarray(
-        (n, c, k, k, oh, ow),
-        buffer=xp,
-        strides=(s[0], s[1], s[2], s[3], s[2] * stride, s[3] * stride),
-    )
-    win.flags.writeable = False  # its windows overlap
+        yield slice(None), x.reshape(n, c, -1)
+        return
     rows = min(oh, max(1, BLOCK_ENTRIES // (n * c * k * k * ow)))
-    return win, rows, np.empty(n * c * k * k * rows * ow)
-
-
-def _cols(win, r0, r1, buf):
-    """Output rows r0:r1 of the windows as columns, (n, C·k·k, (r1 − r0)·ow)."""
-    n, c, k, _, _, ow = win.shape
-    if buf is None:
-        return win[:, :, 0, 0, r0:r1].reshape(n, c, -1)
-    cols = buf[: n * c * k * k * (r1 - r0) * ow].reshape(n, c, k, k, r1 - r0, ow)
-    cols[...] = win[..., r0:r1, :]
-    return cols.reshape(n, c * k * k, -1)
+    buf = np.empty(n * c * k * k * rows * ow)
+    reach = (rows - 1) * stride + k  # input rows a block reads
+    strip = np.zeros((n, c, reach, wdt + 2 * padding)) if padding else np.ascontiguousarray(x)
+    s = strip.strides
+    for r0 in range(0, oh, rows):
+        r1 = min(r0 + rows, oh)
+        top = r0 * stride - padding  # the first of them
+        if padding:  # rows above the frame stay zero: no block has more than the first
+            lo, hi = max(top, 0), max(top, 0, min(top + reach, h))
+            strip[:, :, lo - top : hi - top, padding : padding + wdt] = x[:, :, lo:hi]
+            strip[:, :, hi - top :] = 0
+        # unpadded, the windows read x in place. A view of the strip's buffer
+        # checks the strides stay inside it; as_strided is about 6 µs slower
+        win = np.ndarray((n, c, k, k, r1 - r0, ow), buffer=strip, offset=0 if padding else top * s[2],
+                         strides=s + (s[2] * stride, s[3] * stride))
+        win.flags.writeable = False  # its windows overlap
+        cols = buf[: win.size].reshape(win.shape)
+        cols[...] = win
+        yield slice(r0 * ow, r1 * ow), cols.reshape(n, c * k * k, -1)
 
 
 def _conv_fwd(x, w, stride, padding):
     n, cout = x.shape[0], w.shape[0]
-    win, rows, buf = _im2col(x, w.shape[2], stride, padding)
-    oh, ow = win.shape[4:]
+    blocks = _col_blocks(x, w.shape[2], stride, padding)
+    oh, ow = next(blocks)
     w2 = w.reshape(cout, -1)
     out = np.empty((n, cout, oh, ow))
     flat = out.reshape(n, cout, oh * ow)
-    for r0 in range(0, oh, rows):
-        r1 = min(r0 + rows, oh)
-        _mm(w2, _cols(win, r0, r1, buf), out=flat[:, :, r0 * ow : r1 * ow])
+    for span, cols in blocks:
+        _mm(w2, cols, out=flat[:, :, span])
     return out
 
 
@@ -698,14 +696,12 @@ def _conv_dw(x, g, k, stride, padding):
     # cols is rebuilt here rather than kept from forward, so training holds
     # no k²-times copy of each activation between the two passes
     n, cout = g.shape[:2]
-    win, rows, buf = _im2col(x, k, stride, padding)
-    oh, ow = win.shape[4:]
-    g3 = g.reshape(n, cout, oh * ow)
+    g3 = g.reshape(n, cout, -1)
     dw = np.zeros((cout, x.shape[1] * k * k))
-    for r0 in range(0, oh, rows):
-        r1 = min(r0 + rows, oh)
-        cols = _cols(win, r0, r1, buf)
-        dw += (g3[:, :, r0 * ow : r1 * ow] @ cols.swapaxes(1, 2)).sum(axis=0)
+    blocks = _col_blocks(x, k, stride, padding)
+    next(blocks)  # the output size, which g has
+    for span, cols in blocks:
+        dw += (g3[:, :, span] @ cols.swapaxes(1, 2)).sum(axis=0)
     return dw.reshape(cout, x.shape[1], k, k)
 
 

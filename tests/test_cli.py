@@ -620,6 +620,21 @@ class TestPipelineCommands:
         cfg = json.loads(config_line.removeprefix("config: "))
         assert cfg["loss_weights"] == [1.0, 100.0, 0.0, 100.0]
 
+    def test_ppm_directory_takes_the_suffix_in_any_case(self, tmp_path, capsys):
+        # as a single X.PPM file does; the directory's files load in name order
+        upper, lower = tmp_path / "upper", tmp_path / "lower"
+        upper.mkdir()
+        lower.mkdir()
+        names = ["F0.PPM", "F1.Ppm", "F2.ppm"]
+        for i, (name, frame) in enumerate(zip(names, synthetic_frames(3))):
+            ppm = cs.rgb_to_ppm(cs.ycbcr_to_rgb(frame))
+            (upper / name).write_bytes(ppm)
+            (lower / f"{i}.ppm").write_bytes(ppm)
+        assert run(["eval", "--ref", upper, "--test", lower]) == 0
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert report["frame_count"] == 3
+        assert [f["psnr_y"] for f in report["frames"]] == ["inf"] * 3
+
 
 class TestRdReport:
     def test_reproduces_published_silent_summary(self, tmp_path):
